@@ -6,14 +6,16 @@ diagonal -1/2).  The leftmost factor in a recipe owns the most
 significant index bits.  All operators are real, so states are plain
 float64 vectors.
 
-The fast path applies each factor in place via a butterfly-style block
-update; ``dense_unitary`` assembles the explicit Kronecker matrix and
-serves as the reference oracle for it.
+G is a distance oracle: every hot path takes outcome probabilities from
+member distances with ``ket_probabilities``.  The in-place butterflies
+(``apply_classifier``) and the Kronecker matrix (``dense_unitary``) are
+the two oracles that closed form is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
@@ -159,14 +161,35 @@ def dense_unitary(spec: ClassifierSpec) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def member_array(spec: ClassifierSpec) -> np.ndarray:
+    """Read-only uint64 member values, built once per spec (entry k is
+    the member measured as ket k)."""
+    members = np.array(spec.basis().member_values(), dtype=np.uint64)
+    members.setflags(write=False)
+    return members
+
+
+def ket_probabilities(distances, length: int) -> np.ndarray:
+    """Outcome probabilities ((L - 2d) / L)**2 from member distances d.
+
+    G is orthogonal and measures member m_k as ket k with certainty, so
+    G^T|k> = +-s_{m_k} and the amplitude of ket k for input h is the
+    sign-vector overlap <s_{m_k}|s_h> = (L - 2 d(h, m_k)) / L.  Each value
+    is a dyadic rational over L**2 <= 4096, exact in float64.
+    """
+    amps = (length - 2 * np.asarray(distances, dtype=np.int64)) / length
+    return amps * amps
+
+
 def outcome_distribution(spec: ClassifierSpec, h: PatternVector) -> np.ndarray:
     """Exact measurement probabilities over basis kets for input h."""
     if h.length != spec.dim:
         raise ValueError(
             f"dimension mismatch: classifier is {spec.dim}-dimensional, "
             f"function has {h.length} bits")
-    amps = apply_classifier(spec, initial_amplitudes(h))
-    return amps * amps
+    distances = np.bitwise_count(member_array(spec) ^ np.uint64(h.value))
+    return ket_probabilities(distances, spec.dim)
 
 
 def classification_threshold(

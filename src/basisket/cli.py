@@ -29,7 +29,6 @@ from .classifier import (
     BASIS_TO_FACTOR,
     ClassifierSpec,
     classification_threshold,
-    outcome_distribution,
 )
 from .experiment import (
     exhaustive_profile,
@@ -38,7 +37,7 @@ from .experiment import (
     profile_rho,
     stratified_sample_profile,
 )
-from .game import GameConfig, estimate_win_rate, play_round
+from .game import GameConfig, estimate_win_rate, play_rounds, tally
 from .patterns import PatternVector, class_rho, validate_basis
 from . import reference
 from .report import (
@@ -55,13 +54,13 @@ from .report import (
 SEED_ENV_VAR = "BASISKET_SEED"
 
 
-def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
-
-
-def _basis_recipe(spec: ClassifierSpec) -> tuple[str, ...]:
-    from .classifier import FACTOR_TO_BASIS
-    return tuple(FACTOR_TO_BASIS[f] for f in spec.factors)
+def _seed(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"seed must be an integer, got {text!r} "
+            f"(the default comes from {SEED_ENV_VAR})") from None
 
 
 def _parse_quotas(items: list[str] | None, length: int,
@@ -244,6 +243,14 @@ def cmd_tables(args) -> int:
     return 0
 
 
+def _written(records, fh):
+    """Pass round records through, writing each as one JSON line."""
+    for record in records:
+        row = {**vars(record), "function": str(record.function)}
+        fh.write(json.dumps(row) + "\n")
+        yield record
+
+
 def cmd_game(args) -> int:
     config = GameConfig(
         recipe=tuple(ClassifierSpec.parse(args.recipe).factors),
@@ -251,29 +258,14 @@ def cmd_game(args) -> int:
         trials=args.trials, seed=args.seed,
         bob_distance=args.distance)
     if args.rounds_out:
-        seeds = np.random.SeedSequence(config.seed).spawn(config.trials)
-        wins = 0
         with open(args.rounds_out, "w", encoding="utf-8") as fh:
-            for s in seeds:
-                record = play_round(config, s)
-                wins += record.alice_wins
-                fh.write(json.dumps({
-                    "distance": record.distance,
-                    "outcome": record.outcome,
-                    "in_nearest": record.in_nearest,
-                    "alice_yes": record.alice_yes,
-                    "alice_wins": record.alice_wins,
-                    "function": str(record.function),
-                }) + "\n")
-        rate = wins / config.trials
-        se = float(np.sqrt(rate * (1 - rate) / config.trials))
+            result = tally(_written(play_rounds(config), fh))
     else:
         result = estimate_win_rate(config)
-        rate, se = result.rate, result.standard_error
     print(json.dumps({
         "recipe": args.recipe, "bob": args.bob, "alice": args.alice,
         "distance": args.distance, "trials": args.trials, "seed": args.seed,
-        "alice_win_rate": rate, "standard_error": se,
+        "alice_win_rate": result.rate, "standard_error": result.standard_error,
     }, indent=2))
     return 0
 
@@ -289,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--recipe", required=True,
                        help="comma-separated factors, e.g. H,C2,H")
         if seed:
-            p.add_argument("--seed", type=int, default=_default_seed())
+            p.add_argument("--seed", type=_seed,
+                           default=os.environ.get(SEED_ENV_VAR, "0"))
         if output:
             p.add_argument("--out", help="output file (default: stdout)")
             p.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -2,11 +2,13 @@
 
 Exhaustive mode enumerates every Boolean function of length 8 or 16 and
 buckets the classification threshold by the exact Hamming distance from
-the class.  For lengths 32 and 64 exhaustive enumeration is out of
-reach, so a stratified sampler flips random bit subsets of random basis
-members and credits each sample to its true distance bucket, while
-deterministic probes (all-ones, all-zeros, member complements) cover the
-far half of the distance axis that random flips cannot reach.
+the class; theta = |N| (1 - 2d/L)**2 comes from the distances alone
+(see ``classifier.ket_probabilities``), with N the nearest members.  For
+lengths 32 and 64 exhaustive enumeration is out of reach, so a
+stratified sampler flips random bit subsets of random basis members and
+credits each sample to its true distance bucket, while deterministic
+probes (all-ones, all-zeros, member complements) cover the far half of
+the distance axis that random flips cannot reach.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ import numpy as np
 from .classifier import (
     ClassifierSpec,
     ThresholdReport,
-    apply_classifier,
     classification_threshold,
+    ket_probabilities,
+    member_array,
 )
-from .patterns import NOT_UNIFORM, PatternBasis, PatternVector, class_rho
+from .patterns import PatternBasis, PatternVector, class_rho
 
 #: Exhaustive mode is limited to pattern lengths 8 and 16.
 EXHAUSTIVE_RANK_CAP = 4
@@ -87,16 +90,10 @@ class DistanceProfile:
 def _batch_thetas(spec: ClassifierSpec, members: np.ndarray,
                   values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact (distance, theta) for a batch of function values (uint64)."""
-    length = spec.dim
-    shifts = np.arange(length, dtype=np.uint64)
-    bits = ((values[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.float64)
-    amps = (1.0 - 2.0 * bits) / np.sqrt(length)
-    apply_classifier(spec, amps)
-    probs = amps * amps
-    dist = np.bitwise_count(values[:, None] ^ members[None, :]).astype(np.int64)
+    dist = np.bitwise_count(values[:, None] ^ members[None, :])
     dmin = dist.min(axis=1)
-    thetas = np.where(dist == dmin[:, None], probs, 0.0).sum(axis=1)
-    return dmin, thetas
+    nearest = (dist == dmin[:, None]).sum(axis=1)
+    return dmin.astype(np.int64), nearest * ket_probabilities(dmin, spec.dim)
 
 
 def exhaustive_profile(
@@ -114,8 +111,9 @@ def exhaustive_profile(
         raise ValueError(
             f"rank {spec.total_bits} exceeds the exhaustive cap of "
             f"{EXHAUSTIVE_RANK_CAP}; use stratified_sample_profile instead")
-    basis = spec.basis()
-    members = np.array(basis.member_values(), dtype=np.uint64)
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    members = member_array(spec)
     length = spec.dim
     total = 1 << length
     profile = DistanceProfile.empty(recipe, "exhaustive", length)
@@ -164,8 +162,7 @@ def stratified_sample_profile(
         raise ValueError(
             f"rank {spec.total_bits} is exhaustively enumerable; "
             "use exhaustive_profile")
-    basis = spec.basis()
-    members = np.array(basis.member_values(), dtype=np.uint64)
+    members = member_array(spec)
     length = spec.dim
     half = length // 2
     for d in per_distance_quota:
@@ -205,17 +202,16 @@ def probe_suite(
     """
     spec = ClassifierSpec(tuple(recipe))
     basis = spec.basis()
-    length = spec.dim
-    results: list[tuple[str, ThresholdReport]] = []
-    all_ones = PatternVector((1 << length) - 1, length)
-    all_zeros = PatternVector(0, length)
-    results.append(("all_ones", classification_threshold(spec, basis, all_ones)))
-    results.append(("all_zeros", classification_threshold(spec, basis, all_zeros)))
-    for k, member in enumerate(basis.members):
-        results.append((
-            f"complement_of_member_{k}",
-            classification_threshold(spec, basis, member.negate())))
-    return results
+    return [(name, classification_threshold(spec, basis, h))
+            for name, h in probe_functions(basis)]
+
+
+def probe_functions(basis: PatternBasis) -> list[tuple[str, PatternVector]]:
+    """The named probes: all-ones, all-zeros, each member's complement."""
+    ones = PatternVector((1 << basis.length) - 1, basis.length)
+    return [("all_ones", ones), ("all_zeros", ones.negate())] + [
+        (f"complement_of_member_{k}", m.negate())
+        for k, m in enumerate(basis.members)]
 
 
 @dataclass(frozen=True)

@@ -17,18 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .classifier import ClassifierSpec, outcome_distribution
-from .patterns import (
-    NearestSet,
-    PatternBasis,
-    PatternVector,
-    class_rho,
-    distance_from_class,
-)
-from .experiment import _sample_attempts
+from .classifier import ClassifierSpec, member_array, outcome_distribution
+from .patterns import NearestSet, PatternVector, class_rho, distance_from_class
+from .experiment import _sample_attempts, probe_functions
 
 #: Flip attempts per pick before falling back to deterministic probes.
 PICK_ATTEMPT_CAP = 512
@@ -80,21 +75,13 @@ def alice_interval_decide(d: int, n: int, rho: int | None = None) -> bool:
     return rho is not None and d == rho
 
 
-def _probe_candidates(basis: PatternBasis) -> list[PatternVector]:
-    length = basis.length
-    probes = [PatternVector((1 << length) - 1, length), PatternVector(0, length)]
-    probes += [m.negate() for m in basis.members]
-    return probes
-
-
 @lru_cache(maxsize=None)
 def _game_context(recipe: tuple[str, ...]):
     """Per-recipe immutables shared across rounds."""
     spec = ClassifierSpec(recipe)
     basis = spec.basis()
-    members = np.array(basis.member_values(), dtype=np.uint64)
     rho = class_rho(basis)
-    return spec, basis, members, rho if isinstance(rho, int) else None
+    return spec, basis, member_array(spec), rho if isinstance(rho, int) else None
 
 
 def bob_pick(
@@ -143,7 +130,7 @@ def bob_pick(
             return h, distance_from_class(basis, h)
         attempted += batch
         batch *= 2
-    for probe in _probe_candidates(basis):
+    for _, probe in probe_functions(basis):
         nearest = distance_from_class(basis, probe)
         if nearest.distance == distance:
             return probe, nearest
@@ -163,7 +150,6 @@ def play_round(config: GameConfig, round_seed) -> RoundRecord:
     probs = outcome_distribution(spec, h)
     # inverse-CDF draw: the single quantum measurement of the round
     outcome = int(np.searchsorted(np.cumsum(probs), measure_rng.random()))
-    outcome = min(outcome, len(probs) - 1)
     in_nearest = outcome in nearest.indices
 
     if config.alice == "always_yes":
@@ -191,14 +177,21 @@ class WinRate:
     wins: int
 
 
-def estimate_win_rate(config: GameConfig) -> WinRate:
-    """Fraction of rounds won by Alice, with binomial standard error.
+def play_rounds(config: GameConfig) -> Iterator[RoundRecord]:
+    """Every round in order; per-round seeds are split off the master
+    seed, so rounds replay or distribute without changing the aggregate."""
+    for round_seed in np.random.SeedSequence(config.seed).spawn(config.trials):
+        yield play_round(config, round_seed)
 
-    Per-round seeds are split off the master seed, so rounds can be
-    replayed or distributed without changing the aggregate.
-    """
-    round_seeds = np.random.SeedSequence(config.seed).spawn(config.trials)
-    wins = sum(play_round(config, s).alice_wins for s in round_seeds)
-    rate = wins / config.trials
-    se = float(np.sqrt(rate * (1.0 - rate) / config.trials))
-    return WinRate(rate, se, config.trials, wins)
+
+def tally(records: Iterable[RoundRecord]) -> WinRate:
+    """Fraction of rounds won by Alice, with binomial standard error."""
+    wins = [record.alice_wins for record in records]
+    rate = sum(wins) / len(wins)
+    se = float(np.sqrt(rate * (1.0 - rate) / len(wins)))
+    return WinRate(rate, se, len(wins), sum(wins))
+
+
+def estimate_win_rate(config: GameConfig) -> WinRate:
+    """Alice's win rate over all rounds of the config."""
+    return tally(play_rounds(config))

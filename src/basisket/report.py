@@ -104,11 +104,8 @@ def profile_from_json(text: str) -> DistanceProfile:
         seed=doc["seed"],
         quotas={int(k): v for k, v in doc["quotas"].items()})
     for row in doc["rows"]:
-        d = row["distance"]
-        profile.counts[d] = row["count"]
-        profile.sums[d] = row["mean_theta"] * row["count"]
-        profile.mins[d] = row["min_theta"]
-        profile.maxs[d] = row["max_theta"]
+        _set_row(profile, row["distance"], row["count"], row["mean_theta"],
+                 row["min_theta"], row["max_theta"])
     profile.short_buckets = tuple(doc["short_buckets"])
     return profile
 
@@ -122,12 +119,19 @@ def profile_from_csv(text: str, recipe: tuple[str, ...], mode: str,
     if header != PROFILE_CSV_HEADER:
         raise ValueError(f"unexpected CSV header: {header}")
     for row in reader:
-        d, count = int(row[0]), int(row[1])
-        profile.counts[d] = count
-        profile.sums[d] = float(row[2]) * count
-        profile.mins[d] = float(row[3])
-        profile.maxs[d] = float(row[4])
+        _set_row(profile, int(row[0]), int(row[1]), *map(float, row[2:5]))
     return profile
+
+
+def _set_row(profile: DistanceProfile, d: int, count: int, mean: float,
+             lo: float, hi: float) -> None:
+    if not 0 <= d <= profile.length:
+        raise ValueError(
+            f"row distance {d} outside 0..{profile.length}")
+    profile.counts[d] = count
+    profile.sums[d] = mean * count
+    profile.mins[d] = lo
+    profile.maxs[d] = hi
 
 
 def distribution_to_csv(probs: np.ndarray, n_bits: int) -> str:

@@ -10,7 +10,9 @@ independent computations.
 """
 
 import random
+import sys
 import time
+import zlib
 from math import sqrt
 
 import numpy as np
@@ -20,15 +22,19 @@ from basisket import (
     ClassifierSpec,
     GameConfig,
     PatternVector,
+    apply_c2_factor,
     apply_classifier,
+    apply_hadamard_factor,
     build_basis_from_recipe,
     class_rho,
+    classification_threshold,
     dense_unitary,
     distance_from_class,
     estimate_win_rate,
     exhaustive_profile,
     extended_product_eval,
     hamming_distance,
+    initial_amplitudes,
     merge_profiles,
     negate,
     outcome_distribution,
@@ -38,6 +44,8 @@ from basisket import (
     stratified_sample_profile,
     validate_basis,
 )
+from basisket.classifier import member_array
+from basisket.experiment import _batch_thetas
 from basisket.reference import (
     TABLE_3,
     TABLE_3_RECIPES,
@@ -65,6 +73,12 @@ def all_recipes(max_bits=6):
 
 
 ALL_RECIPES = all_recipes()  # 32 recipes
+RECIPE_IDS = [",".join(r) for r in ALL_RECIPES]
+
+
+def recipe_seed(recipe):
+    """Stable per-recipe seed (hash() of a str is salted per process)."""
+    return zlib.crc32(",".join(recipe).encode())
 
 
 class TestCriterion1PerfectClassification:
@@ -136,18 +150,103 @@ class TestCriterion3Table5:
         assert actual == pytest.approx(want, abs=cell_tolerance(want))
 
 
+def sign_states(spec, values):
+    """Oracle input: one initial-amplitude row per function value."""
+    return np.array([initial_amplitudes(PatternVector(v, spec.dim))
+                     for v in values])
+
+
+def exact_probabilities(length, members, value):
+    """((L - 2d) / L)**2 per member, from Python ints only."""
+    return np.array([(length - 2 * (value ^ m).bit_count()) ** 2 / length ** 2
+                     for m in members])
+
+
 class TestCriterion4OracleEquivalence:
-    @pytest.mark.parametrize("recipe", ALL_RECIPES,
-                             ids=[",".join(r) for r in ALL_RECIPES])
+    @pytest.mark.parametrize("recipe", ALL_RECIPES, ids=RECIPE_IDS)
     def test_fast_path_vs_dense_matrix(self, recipe):
         spec = ClassifierSpec(recipe)
         g = dense_unitary(spec)
-        rng = np.random.default_rng(abs(hash(recipe)) % 2**32)
+        rng = np.random.default_rng(recipe_seed(recipe))
         batch = rng.standard_normal((100, spec.dim))
         batch /= np.linalg.norm(batch, axis=1, keepdims=True)
         got = apply_classifier(spec, batch.copy())
         want = batch @ g.T
         assert np.abs(got - want).max() <= 1e-10
+
+    @pytest.mark.parametrize("recipe", ALL_RECIPES, ids=RECIPE_IDS)
+    def test_closed_form_vs_butterfly_and_dense_matrix(self, recipe):
+        spec = ClassifierSpec(recipe)
+        basis = spec.basis()
+        length = spec.dim
+        members = basis.member_values()
+        rng = random.Random(recipe_seed(recipe))
+        values = members + [m ^ ((1 << length) - 1) for m in members]
+        values += [(1 << length) - 1, 0]
+        values += [rng.getrandbits(length) for _ in range(50)]
+
+        got = np.array([outcome_distribution(spec, PatternVector(v, length))
+                        for v in values])
+        states = sign_states(spec, values)
+        butterfly = apply_classifier(spec, states.copy()) ** 2
+        dense = (states @ dense_unitary(spec).T) ** 2
+        assert np.abs(got - butterfly).max() <= 1e-12
+        assert np.abs(got - dense).max() <= 1e-12
+        for v, probs in zip(values, got):
+            # exact: every p_k is a dyadic rational, and they sum to 1
+            assert np.array_equal(probs, exact_probabilities(length, members, v))
+            assert probs.sum() == 1.0
+            h = PatternVector(v, length)
+            report = classification_threshold(spec, basis, h)
+            d = report.nearest.distance
+            assert report.theta == (len(report.nearest.indices)
+                                    * (length - 2 * d) ** 2 / length ** 2)
+
+    @pytest.mark.parametrize("recipe", ALL_RECIPES, ids=RECIPE_IDS)
+    def test_batch_thetas_vs_butterfly(self, recipe):
+        spec = ClassifierSpec(recipe)
+        length = spec.dim
+        members = member_array(spec)
+        rng = random.Random(recipe_seed(recipe))
+        # uniform functions, plus one-bit neighbours of members so that
+        # small distances occur at every length
+        values = [rng.getrandbits(length) for _ in range(100)]
+        values += [int(rng.choice(members)) ^ (1 << rng.randrange(length))
+                   for _ in range(100)]
+        dmin, thetas = _batch_thetas(spec, members,
+                                     np.array(values, dtype=np.uint64))
+
+        probs = apply_classifier(spec, sign_states(spec, values)) ** 2
+        dist = np.array([[(v ^ int(m)).bit_count() for m in members]
+                         for v in values])
+        nearest = dist == dist.min(axis=1, keepdims=True)
+        want = np.where(nearest, probs, 0.0).sum(axis=1)
+        assert np.array_equal(dmin, dist.min(axis=1))
+        assert np.abs(thetas - want).max() <= 1e-12
+        exact = nearest.sum(axis=1) * (length - 2 * dmin) ** 2 / length ** 2
+        assert np.array_equal(thetas, exact)
+
+    def test_no_library_path_calls_the_oracles(self, monkeypatch):
+        # the butterflies and the Kronecker matrix are test oracles only
+        oracles = (apply_classifier, apply_hadamard_factor, apply_c2_factor,
+                   initial_amplitudes, dense_unitary)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("library code called an oracle")
+
+        for name, module in list(sys.modules.items()):
+            if name == "basisket" or name.startswith("basisket."):
+                for attr, value in list(vars(module).items()):
+                    if any(value is oracle for oracle in oracles):
+                        monkeypatch.setattr(module, attr, forbidden)
+        recipe = ("C2", "C2")
+        exhaustive_profile(("H", "C2"))
+        stratified_sample_profile(("C2", "C2", "H"), {1: 5, 9: 5}, seed=0)
+        probe_suite(recipe)
+        estimate_win_rate(GameConfig(recipe, "uniform_random",
+                                     "interval_threshold", trials=20, seed=0))
+        estimate_win_rate(GameConfig(recipe, "at_distance", "always_yes",
+                                     trials=5, seed=0, bob_distance=10))
 
 
 class TestCriterion5RhoProbes:

@@ -107,6 +107,17 @@ class TestSample:
         assert code == 0
         assert json.loads(out_a.read_text())["seed"] == 77
 
+    def test_bad_seed_env_var_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "abc")
+        code, _, err = run(capsys, "game", "--recipe", "C2,C2",
+                           "--trials", "5")
+        assert code == 1
+        assert SEED_ENV_VAR in err and "'abc'" in err
+        # an explicit seed wins, and commands without a seed never read it
+        assert run(capsys, "game", "--recipe", "C2,C2", "--trials", "5",
+                   "--seed", "1")[0] == 0
+        assert run(capsys, "bases", "--recipe", "C2")[0] == 0
+
     def test_svg_histogram_written(self, capsys, tmp_path):
         target = tmp_path / "prof.csv"
         code, out, _ = run(capsys, "sample", "--recipe", "C2,C2,H",
@@ -160,6 +171,12 @@ class TestGame:
         wins = sum(r["alice_wins"] for r in records)
         assert json.loads(out)["alice_win_rate"] == pytest.approx(wins / 20)
         assert all(len(r["function"]) == 16 for r in records)
+        assert list(records[0]) == ["distance", "outcome", "in_nearest",
+                                    "alice_yes", "alice_wins", "function"]
+        # writing the rounds does not change the summary
+        code, plain, _ = run(capsys, "game", "--recipe", "C2,C2",
+                             "--trials", "20", "--seed", "4")
+        assert code == 0 and json.loads(plain) == json.loads(out)
 
 
 class TestTopLevel:

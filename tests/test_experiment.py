@@ -59,6 +59,11 @@ class TestExhaustiveProfile:
         assert np.array_equal(a.counts, b.counts)
         assert np.allclose(a.sums, b.sums, atol=1e-12)
 
+    @pytest.mark.parametrize("chunk", [0, -5])
+    def test_chunk_must_be_positive(self, chunk):
+        with pytest.raises(ValueError, match="chunk"):
+            exhaustive_profile(("H", "H"), chunk=chunk)
+
     def test_progress_callback(self):
         seen = []
         exhaustive_profile(("H", "H"), progress=lambda done, total: seen.append((done, total)))

@@ -63,6 +63,13 @@ class TestJson:
         assert np.array_equal(back.counts, sampled.counts)
         assert np.allclose(back.sums, sampled.sums, atol=1e-9)
 
+    @pytest.mark.parametrize("distance", [-1, 9])
+    def test_row_distance_out_of_range_rejected(self, profile, distance):
+        doc = json.loads(profile_to_json(profile))
+        doc["rows"][0]["distance"] = distance
+        with pytest.raises(ValueError, match="distance"):
+            profile_from_json(json.dumps(doc))
+
     def test_document_shape(self, profile):
         doc = json.loads(profile_to_json(profile))
         assert doc["recipe"] == "H,C2"

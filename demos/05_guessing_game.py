@@ -20,9 +20,11 @@ for d in (1, 2, 3, 4, 5, 8, 10):
                         trials=2000, seed=100 + d, bob_distance=d)
     result = estimate_win_rate(config)
     print(f"  d={d:2d}  win rate {result.rate:.3f} "
-          f"(+/- {result.standard_error:.3f})")
+          f"(+/- {result.standard_error:.3f}), exact {result.exact_rate:.3f}")
 
-# d=8 and d=10 are sure wins: at 8 the nearest kets carry zero
+# "exact" averages each round's exact win chance, theta(h) when Alice
+# says yes and 1 - theta(h) when she says no, so it has no measurement
+# noise.  d=8 and d=10 are sure wins: at 8 the nearest kets carry zero
 # probability and Alice says no; at rho=10 the threshold is exactly 1
 # and she says yes.
 
@@ -39,4 +41,5 @@ print("\nBob picking uniformly at random, 5000 rounds:")
 config = GameConfig(RECIPE, "uniform_random", "interval_threshold",
                     trials=5000, seed=7)
 result = estimate_win_rate(config)
-print(f"  win rate {result.rate:.3f} (+/- {result.standard_error:.3f})")
+print(f"  win rate {result.rate:.3f} (+/- {result.standard_error:.3f}), "
+      f"exact {result.exact_rate:.3f}")

@@ -247,6 +247,7 @@ def _written(records, fh):
     """Pass round records through, writing each as one JSON line."""
     for record in records:
         row = {**vars(record), "function": str(record.function)}
+        del row["theta"]  # summarised as alice_exact_win_rate
         fh.write(json.dumps(row) + "\n")
         yield record
 
@@ -266,6 +267,7 @@ def cmd_game(args) -> int:
         "recipe": args.recipe, "bob": args.bob, "alice": args.alice,
         "distance": args.distance, "trials": args.trials, "seed": args.seed,
         "alice_win_rate": result.rate, "standard_error": result.standard_error,
+        "alice_exact_win_rate": result.exact_rate,
     }, indent=2))
     return 0
 

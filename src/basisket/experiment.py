@@ -294,6 +294,10 @@ def merge_profiles(a: DistanceProfile, b: DistanceProfile) -> DistanceProfile:
         raise ValueError(
             f"cannot merge profiles with different metadata: "
             f"{(a.recipe, a.mode, a.length)} vs {(b.recipe, b.mode, b.length)}")
+    if a.mode == "sampled" and a.seed == b.seed:
+        raise ValueError(
+            f"sampled shards share seed {a.seed}: they hold the same "
+            f"samples, so merging would count them twice")
     merged = DistanceProfile.empty(a.recipe, a.mode, a.length,
                                    seed=a.seed, quotas=a.quotas)
     merged.counts = a.counts + b.counts

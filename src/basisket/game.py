@@ -11,6 +11,19 @@ Alice's interval strategy answers yes for distances up to 2**n / 8 (and
 at the rho spike of uniform-zero-count classes), no otherwise.  Bob's
 pivot strategy targets distance floor(2**n / 8), the crossover where the
 game approaches a fair coin toss.
+
+Rounds are played in blocks of up to ROUND_BLOCK.  Bob picks every
+function of a block at once; one popcount matrix then gives each round's
+distances, nearest set and outcome probabilities
+(``classifier.ket_probabilities``), and one uniform draw per round picks
+the measured ket by inverse CDF.  Block b of a game draws only from
+``SeedSequence(seed).spawn(n_blocks)[b]``, so it replays, here or on
+another machine, from (seed, b).
+
+Given h, Alice wins with probability exactly theta(h) if she says yes
+and 1 - theta(h) if not.  The mean of that over the rounds is the
+Rao-Blackwell estimate ``WinRate.exact_rate``, reported next to the
+Monte Carlo rate; it has the same expectation and no measurement noise.
 """
 
 from __future__ import annotations
@@ -21,12 +34,15 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .classifier import ClassifierSpec, member_array, outcome_distribution
+from .classifier import ClassifierSpec, ket_probabilities, member_array
 from .patterns import NearestSet, PatternVector, class_rho, distance_from_class
 from .experiment import _sample_attempts, probe_functions
 
 #: Flip attempts per pick before falling back to deterministic probes.
 PICK_ATTEMPT_CAP = 512
+
+#: Rounds played per vectorized block; the unit of seed splitting.
+ROUND_BLOCK = 512
 
 BOB_STRATEGIES = ("at_distance", "pivot", "uniform_random")
 ALICE_STRATEGIES = ("interval_threshold", "always_yes", "always_no")
@@ -60,19 +76,23 @@ class RoundRecord:
     alice_yes: bool
     alice_wins: bool
     function: PatternVector
+    theta: float           # chance that the measured ket is a nearest one
 
 
-def alice_interval_decide(d: int, n: int, rho: int | None = None) -> bool:
+def alice_interval_decide(d, n: int, rho: int | None = None):
     """Interval-threshold verdict: True means "yes, it is a nearest ket".
 
     Yes for d <= 2**n / 8; yes at d == rho when the class has a uniform
-    zero count (the threshold there is exactly 1); no otherwise.
+    zero count (the threshold there is exactly 1); no otherwise.  For an
+    array of distances, returns a boolean array of verdicts.
     """
-    if d < 1:
+    d = np.asarray(d)
+    if (d < 1).any():
         raise ValueError("the game excludes class members (distance 0)")
-    if d <= (1 << n) // 8:
-        return True
-    return rho is not None and d == rho
+    yes = d <= (1 << n) // 8
+    if rho is not None:
+        yes |= d == rho
+    return yes if yes.ndim else bool(yes)
 
 
 @lru_cache(maxsize=None)
@@ -82,6 +102,66 @@ def _game_context(recipe: tuple[str, ...]):
     basis = spec.basis()
     rho = class_rho(basis)
     return spec, basis, member_array(spec), rho if isinstance(rho, int) else None
+
+
+def _distances(values: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Hamming distance from each value (rows) to each member (columns)."""
+    return np.bitwise_count(values[:, None] ^ members)
+
+
+def _pick(rng: np.random.Generator, recipe: tuple[str, ...], strategy: str,
+          distance: int | None, size: int) -> np.ndarray:
+    """Values of `size` functions outside the class, picked per strategy.
+
+    at_distance makes flip attempts (`distance` random bits of a random
+    member) for all pending picks in one sampler call, about ROUND_BLOCK
+    attempts but at least one per pick, and retries only the misses; a
+    pick still missing after PICK_ATTEMPT_CAP attempts takes the first
+    deterministic probe (all-ones, all-zeros, member complements) at
+    that distance.
+    """
+    spec, basis, members, _ = _game_context(recipe)
+    length = spec.dim
+    if strategy == "pivot":
+        strategy, distance = "at_distance", length // 8
+
+    if strategy == "uniform_random":
+        values = rng.integers(0, 1 << length, size=size, dtype=np.uint64)
+        while (redraw := np.flatnonzero(np.isin(values, members))).size:
+            values[redraw] = rng.integers(0, 1 << length, size=redraw.size,
+                                          dtype=np.uint64)
+        return values
+
+    if strategy != "at_distance":
+        raise ValueError(f"unknown Bob strategy {strategy!r}")
+    if not distance or distance < 1:
+        raise ValueError("Bob must pick outside the class: distance >= 1")
+    if distance > length:
+        raise ValueError(f"distance {distance} exceeds function length {length}")
+    values = np.empty(size, dtype=np.uint64)
+    pending = np.arange(size)
+    attempted = 0
+    while pending.size and attempted < PICK_ATTEMPT_CAP:
+        per_pick = min(max(1, ROUND_BLOCK // pending.size),
+                       PICK_ATTEMPT_CAP - attempted)
+        tries = _sample_attempts(rng, members, length, distance,
+                                 pending.size * per_pick).reshape(-1, per_pick)
+        hit = _distances(tries.ravel(), members).min(axis=1) == distance
+        hit = hit.reshape(tries.shape)
+        found = hit.any(axis=1)
+        values[pending[found]] = tries[found, hit[found].argmax(axis=1)]
+        pending = pending[~found]
+        attempted += per_pick
+    if pending.size:
+        probes = np.array([h.value for _, h in probe_functions(basis)],
+                          dtype=np.uint64)
+        matching = probes[_distances(probes, members).min(axis=1) == distance]
+        if not matching.size:
+            raise ValueError(
+                f"no function at distance {distance} from the class reachable "
+                f"within {PICK_ATTEMPT_CAP} attempts or via probes")
+        values[pending] = matching[0]
+    return values
 
 
 def bob_pick(
@@ -97,76 +177,75 @@ def bob_pick(
     the exact distance is unreachable by flipping within the attempt
     cap.  Returns the function together with its exact nearest set.
     """
-    spec, basis, members, _ = _game_context(tuple(recipe))
-    length = spec.dim
-    rng = np.random.default_rng(seed)
+    recipe = tuple(recipe)
+    basis = _game_context(recipe)[1]
+    value = _pick(np.random.default_rng(seed), recipe, strategy, distance, 1)
+    h = PatternVector(int(value[0]), basis.length)
+    return h, distance_from_class(basis, h)
 
-    if strategy == "pivot":
-        strategy, distance = "at_distance", length // 8
 
-    if strategy == "uniform_random":
-        member_set = set(basis.member_values())
-        while True:
-            value = int(rng.integers(0, 1 << length, dtype=np.uint64))
-            if value not in member_set:
-                h = PatternVector(value, length)
-                return h, distance_from_class(basis, h)
+@dataclass(frozen=True)
+class _Block:
+    """Consecutive rounds of one game, one array entry per round."""
 
-    assert strategy == "at_distance"
-    if not distance or distance < 1:
-        raise ValueError("Bob must pick outside the class: distance >= 1")
-    if distance > length:
-        raise ValueError(f"distance {distance} exceeds function length {length}")
-    flip_d = min(distance, length)
-    attempted = 0
-    batch = 64
-    while attempted < PICK_ATTEMPT_CAP:
-        batch = min(batch, PICK_ATTEMPT_CAP - attempted)
-        values = _sample_attempts(rng, members, length, flip_d, batch)
-        dmin = np.bitwise_count(values[:, None] ^ members[None, :]).min(axis=1)
-        hits = np.nonzero(dmin == distance)[0]
-        if hits.size:
-            h = PatternVector(int(values[hits[0]]), length)
-            return h, distance_from_class(basis, h)
-        attempted += batch
-        batch *= 2
-    for _, probe in probe_functions(basis):
-        nearest = distance_from_class(basis, probe)
-        if nearest.distance == distance:
-            return probe, nearest
-    raise ValueError(
-        f"no function at distance {distance} from the class reachable "
-        f"within {PICK_ATTEMPT_CAP} attempts or via probes")
+    values: np.ndarray      # Bob's functions, uint64
+    distance: np.ndarray    # revealed minimum distance
+    outcome: np.ndarray     # measured ket index
+    in_nearest: np.ndarray
+    alice_yes: np.ndarray
+    theta: np.ndarray       # |N| * p(distance), exact
+
+
+def _play_block(config: GameConfig, rng: np.random.Generator,
+                size: int) -> _Block:
+    """`size` rounds: Bob's picks, then distances, then one measurement
+    and one verdict per round."""
+    spec, _, members, rho = _game_context(config.recipe)
+    values = _pick(rng, config.recipe, config.bob, config.bob_distance, size)
+    dist = _distances(values, members)
+    dmin = dist.min(axis=1)
+    nearest = dist == dmin[:, None]
+    # inverse-CDF draw: the single quantum measurement of each round.
+    # Counting cdf < u equals searchsorted(cdf, u) row by row, and the
+    # last cdf entry is exactly 1.0, so every outcome is a valid ket.
+    cdf = np.cumsum(ket_probabilities(dist, spec.dim), axis=1)
+    outcome = np.count_nonzero(cdf < rng.random(size)[:, None], axis=1)
+    if config.alice == "interval_threshold":
+        alice_yes = alice_interval_decide(dmin, spec.total_bits, rho)
+    else:
+        alice_yes = np.full(size, config.alice == "always_yes")
+    return _Block(
+        values=values,
+        distance=dmin,
+        outcome=outcome,
+        in_nearest=nearest[np.arange(size), outcome],
+        alice_yes=alice_yes,
+        theta=nearest.sum(axis=1) * ket_probabilities(dmin, spec.dim),
+    )
+
+
+def _blocks(config: GameConfig) -> Iterator[_Block]:
+    """Every round of the config, ROUND_BLOCK at a time."""
+    n_blocks = -(-config.trials // ROUND_BLOCK)
+    seeds = np.random.SeedSequence(config.seed).spawn(n_blocks)
+    for b, seed in enumerate(seeds):
+        size = min(ROUND_BLOCK, config.trials - b * ROUND_BLOCK)
+        yield _play_block(config, np.random.default_rng(seed), size)
+
+
+def _records(block: _Block, length: int) -> Iterator[RoundRecord]:
+    columns = (block.values, block.distance, block.outcome, block.in_nearest,
+               block.alice_yes, block.theta)
+    for value, d, outcome, in_nearest, yes, theta in zip(
+            *(column.tolist() for column in columns)):
+        yield RoundRecord(d, outcome, in_nearest, yes, yes == in_nearest,
+                          PatternVector(value, length), theta)
 
 
 def play_round(config: GameConfig, round_seed) -> RoundRecord:
     """One full round; bit-for-bit reproducible from its seed."""
-    spec, _, _, rho_val = _game_context(config.recipe)
-
-    pick_rng, measure_rng = np.random.default_rng(round_seed).spawn(2)
-    h, nearest = bob_pick(config.recipe, config.bob, pick_rng,
-                          distance=config.bob_distance)
-
-    probs = outcome_distribution(spec, h)
-    # inverse-CDF draw: the single quantum measurement of the round
-    outcome = int(np.searchsorted(np.cumsum(probs), measure_rng.random()))
-    in_nearest = outcome in nearest.indices
-
-    if config.alice == "always_yes":
-        alice_yes = True
-    elif config.alice == "always_no":
-        alice_yes = False
-    else:
-        alice_yes = alice_interval_decide(nearest.distance, spec.total_bits, rho_val)
-
-    return RoundRecord(
-        distance=nearest.distance,
-        outcome=outcome,
-        in_nearest=in_nearest,
-        alice_yes=alice_yes,
-        alice_wins=(alice_yes == in_nearest),
-        function=h,
-    )
+    block = _play_block(config, np.random.default_rng(round_seed), 1)
+    return next(_records(block, _game_context(config.recipe)[0].dim))
 
 
 @dataclass(frozen=True)
@@ -175,23 +254,51 @@ class WinRate:
     standard_error: float
     trials: int
     wins: int
+    exact_rate: float  # Rao-Blackwell: mean of each round's win chance
 
 
 def play_rounds(config: GameConfig) -> Iterator[RoundRecord]:
-    """Every round in order; per-round seeds are split off the master
-    seed, so rounds replay or distribute without changing the aggregate."""
-    for round_seed in np.random.SeedSequence(config.seed).spawn(config.trials):
-        yield play_round(config, round_seed)
+    """Every round in order, from the same blocks as estimate_win_rate.
+
+    Block b holds rounds b*ROUND_BLOCK onwards and draws from the b-th
+    child of SeedSequence(config.seed), so a block replays or runs on
+    another machine from (seed, b) without changing the aggregate.
+    """
+    length = _game_context(config.recipe)[0].dim
+    for block in _blocks(config):
+        yield from _records(block, length)
+
+
+def _win_rate(trials: int, wins: int, chances: float) -> WinRate:
+    rate = wins / trials
+    se = float(np.sqrt(rate * (1.0 - rate) / trials))
+    return WinRate(rate, se, trials, wins, chances / trials)
 
 
 def tally(records: Iterable[RoundRecord]) -> WinRate:
-    """Fraction of rounds won by Alice, with binomial standard error."""
-    wins = [record.alice_wins for record in records]
-    rate = sum(wins) / len(wins)
-    se = float(np.sqrt(rate * (1.0 - rate) / len(wins)))
-    return WinRate(rate, se, len(wins), sum(wins))
+    """Fraction of rounds won by Alice, with binomial standard error, and
+    the mean of her exact win chances."""
+    trials = wins = 0
+    chances = 0.0
+    for record in records:
+        trials += 1
+        wins += record.alice_wins
+        chances += record.theta if record.alice_yes else 1.0 - record.theta
+    return _win_rate(trials, wins, chances)
 
 
 def estimate_win_rate(config: GameConfig) -> WinRate:
-    """Alice's win rate over all rounds of the config."""
-    return tally(play_rounds(config))
+    """Alice's win rate over all rounds of the config; equal to
+    tally(play_rounds(config)).
+
+    Each win chance is a multiple of 1/L**2 in [0, 1] with L**2 <= 2**12,
+    so below 2**40 rounds every float sum is exact in any order and the
+    two tallies agree to the bit.
+    """
+    wins = 0
+    chances = 0.0
+    for block in _blocks(config):
+        wins += int(np.count_nonzero(block.alice_yes == block.in_nearest))
+        chances += float(np.where(block.alice_yes, block.theta,
+                                  1.0 - block.theta).sum())
+    return _win_rate(config.trials, wins, chances)

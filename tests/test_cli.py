@@ -178,6 +178,21 @@ class TestGame:
                              "--trials", "20", "--seed", "4")
         assert code == 0 and json.loads(plain) == json.loads(out)
 
+    def test_same_seed_gives_the_same_bytes(self, capsys, tmp_path):
+        def game(seed, name):
+            target = tmp_path / name
+            code, out, _ = run(capsys, "game", "--recipe", "C2,C2",
+                               "--bob", "pivot", "--trials", "600",
+                               "--seed", str(seed), "--rounds-out", str(target))
+            assert code == 0
+            return target.read_bytes(), out
+
+        rounds, out = game(4, "a.jsonl")
+        assert game(4, "b.jsonl") == (rounds, out)
+        assert game(5, "c.jsonl")[0] != rounds
+        doc = json.loads(out)
+        assert 0.0 <= doc["alice_exact_win_rate"] <= 1.0
+
 
 class TestTopLevel:
     def test_version(self, capsys):

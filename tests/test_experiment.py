@@ -195,6 +195,18 @@ class TestMergeProfiles:
         with pytest.raises(ValueError, match="different metadata"):
             merge_profiles(a, b)
 
+    def test_sampled_shards_with_one_seed_rejected(self):
+        # equal seeds draw identical samples: merging would count them twice
+        a = stratified_sample_profile(SAMPLED_RECIPE, {1: 5}, seed=1)
+        b = stratified_sample_profile(SAMPLED_RECIPE, {1: 5}, seed=1)
+        with pytest.raises(ValueError, match="seed 1"):
+            merge_profiles(a, b)
+
+    def test_exhaustive_shards_merge(self):
+        a = exhaustive_profile(("H", "C2"))
+        merged = merge_profiles(a, a)
+        assert np.array_equal(merged.counts, 2 * a.counts)
+
 
 class TestProfileRho:
     def test_values(self):

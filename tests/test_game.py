@@ -1,3 +1,5 @@
+from math import sqrt
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,28 @@ from basisket import (
     GameConfig,
     alice_interval_decide,
     bob_pick,
+    classification_threshold,
     distance_from_class,
     estimate_win_rate,
     play_round,
 )
-from basisket.game import _game_context
+from basisket.game import (
+    ROUND_BLOCK,
+    _game_context,
+    _play_block,
+    _records,
+    play_rounds,
+    tally,
+)
 
 RANK4 = ("C2", "C2")  # rho = 10, pivot distance 2
+
+
+def wilson_interval(rate, n, z):
+    z2 = z * z
+    centre = (rate + z2 / (2 * n)) / (1 + z2 / n)
+    half = z / (1 + z2 / n) * sqrt(rate * (1 - rate) / n + z2 / (4 * n * n))
+    return centre - half, centre + half
 
 
 class TestGameConfig:
@@ -147,3 +164,94 @@ class TestEstimateWinRate:
         config = GameConfig(RANK4, "uniform_random", "interval_threshold",
                             trials=60, seed=9)
         assert estimate_win_rate(config) == estimate_win_rate(config)
+
+
+class TestBlockEngine:
+    @pytest.mark.parametrize("recipe,bob,distance", [
+        (RANK4, "at_distance", 7),  # ~6% of flips hit: most picks retry
+        (RANK4, "at_distance", 10),  # every pick falls back to all-ones
+        (RANK4, "pivot", None),
+        (RANK4, "uniform_random", None),
+        (("C2", "C2", "C2"), "pivot", None),
+    ], ids=["at_distance_7", "rho_fallback", "pivot", "uniform", "pivot_64"])
+    def test_records_match_the_exact_nearest_set(self, recipe, bob, distance):
+        spec, basis, _, rho = _game_context(recipe)
+        config = GameConfig(recipe, bob, "interval_threshold", trials=600,
+                            seed=21, bob_distance=distance)
+        for record in play_rounds(config):
+            report = classification_threshold(spec, basis, record.function)
+            nearest = report.nearest
+            assert record.distance == nearest.distance >= 1
+            assert record.in_nearest == (record.outcome in nearest.indices)
+            assert record.theta == report.theta
+            assert record.alice_yes is alice_interval_decide(
+                nearest.distance, spec.total_bits, rho)
+            assert record.alice_wins == (record.alice_yes == record.in_nearest)
+            if distance is not None:
+                assert record.distance == distance
+            if bob == "pivot":
+                assert record.distance == spec.dim // 8
+
+    @pytest.mark.parametrize("trials", [1, ROUND_BLOCK - 1, ROUND_BLOCK,
+                                        ROUND_BLOCK + 1, 1500])
+    def test_tally_of_records_equals_the_block_tally(self, trials):
+        config = GameConfig(RANK4, "uniform_random", "interval_threshold",
+                            trials=trials, seed=5)
+        records = list(play_rounds(config))
+        assert len(records) == trials
+        assert tally(records) == estimate_win_rate(config)
+
+    def test_block_replays_from_seed_and_index(self):
+        config = GameConfig(RANK4, "pivot", "interval_threshold",
+                            trials=1500, seed=13)
+        records = list(play_rounds(config))
+        for b in range(3):
+            seed = np.random.SeedSequence(config.seed, spawn_key=(b,))
+            size = min(ROUND_BLOCK, config.trials - b * ROUND_BLOCK)
+            block = _play_block(config, np.random.default_rng(seed), size)
+            replayed = list(_records(block, 16))
+            assert replayed == records[b * ROUND_BLOCK:][:size]
+
+    def test_pivot_win_rate_at_length_64(self):
+        # at d = 8 of length 64 the nearest member is unique, so every
+        # round has theta = (48/64)**2 and Alice says yes
+        config = GameConfig(("C2", "C2", "C2"), "pivot", "interval_threshold",
+                            trials=20_000, seed=17)
+        result = estimate_win_rate(config)
+        low, high = wilson_interval(result.rate, config.trials, 5.0)
+        assert low <= 0.5625 <= high
+        assert result.exact_rate == 0.5625
+
+    def test_unreachable_distance_raises(self):
+        config = GameConfig(RANK4, "at_distance", "interval_threshold",
+                            trials=600, seed=0, bob_distance=12)
+        with pytest.raises(ValueError, match="no function at distance 12"):
+            estimate_win_rate(config)
+
+    def test_distance_bounds(self):
+        for distance, message in ((-1, "distance >= 1"), (17, "exceeds")):
+            config = GameConfig(RANK4, "at_distance", "always_yes",
+                                trials=3, seed=0, bob_distance=distance)
+            with pytest.raises(ValueError, match=message):
+                estimate_win_rate(config)
+
+
+class TestExactRate:
+    def test_distance_one_is_exact(self):
+        config = GameConfig(RANK4, "at_distance", "interval_threshold",
+                            trials=700, seed=3, bob_distance=1)
+        assert estimate_win_rate(config).exact_rate == 49 / 64
+
+    def test_uniform_random_matches_the_census(self):
+        # sum over the C2,C2 census of count_d * (mean theta_d if Alice
+        # says yes at d else 1 - mean theta_d), over 65520 non-members
+        config = GameConfig(RANK4, "uniform_random", "interval_threshold",
+                            trials=20_000, seed=23)
+        assert abs(estimate_win_rate(config).exact_rate
+                   - 0.6591346153846154) < 0.005
+
+    def test_sure_wins_are_exact(self):
+        for distance in (8, 10):
+            config = GameConfig(RANK4, "at_distance", "interval_threshold",
+                                trials=30, seed=1, bob_distance=distance)
+            assert estimate_win_rate(config).exact_rate == 1.0

@@ -9,7 +9,7 @@ Subcommands:
     tables     recompute the published reference tables and diff
     game       Monte Carlo simulation of the guessing game
 
-Exit codes: 0 success, 1 usage error, 2 reference-table diff failure.
+Exit codes: 0 success, 1 usage or file error, 2 table diff failure.
 The default seed comes from the BASISKET_SEED environment variable when
 set, else 0.
 """
@@ -343,7 +343,7 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

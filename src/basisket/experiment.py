@@ -22,7 +22,6 @@ from .classifier import (
     ClassifierSpec,
     ThresholdReport,
     classification_threshold,
-    ket_probabilities,
     member_array,
 )
 from .patterns import PatternBasis, PatternVector, class_rho
@@ -36,15 +35,14 @@ ATTEMPT_FACTOR = 50
 
 @dataclass
 class DistanceProfile:
-    """Per-distance aggregates of the classification threshold."""
+    """``nearest[d, k]`` counts the functions at class distance d with k
+    nearest members.  Each has theta = k (L - 2d)**2 / L**2, so every
+    bucket's count, mean, minimum and maximum follow exactly."""
 
     recipe: tuple[str, ...]
     mode: str  # "exhaustive" | "sampled"
     length: int
-    counts: np.ndarray  # int64, indexed by distance 0..length
-    sums: np.ndarray
-    mins: np.ndarray
-    maxs: np.ndarray
+    nearest: np.ndarray  # int64, shape (length + 1, length + 1)
     seed: int | None = None
     quotas: dict[int, int] = field(default_factory=dict)
     short_buckets: tuple[int, ...] = ()
@@ -56,44 +54,56 @@ class DistanceProfile:
         size = length + 1
         return cls(
             recipe=tuple(recipe), mode=mode, length=length,
-            counts=np.zeros(size, dtype=np.int64),
-            sums=np.zeros(size),
-            mins=np.full(size, np.inf),
-            maxs=np.full(size, -np.inf),
+            nearest=np.zeros((size, size), dtype=np.int64),
             seed=seed, quotas=dict(quotas or {}))
 
-    def add(self, distance: int, theta: float) -> None:
-        self.counts[distance] += 1
-        self.sums[distance] += theta
-        self.mins[distance] = min(self.mins[distance], theta)
-        self.maxs[distance] = max(self.maxs[distance], theta)
+    @property
+    def counts(self) -> np.ndarray:
+        return self.nearest.sum(axis=1)
 
-    def add_batch(self, distances: np.ndarray, thetas: np.ndarray) -> None:
-        np.add.at(self.counts, distances, 1)
-        np.add.at(self.sums, distances, thetas)
-        np.minimum.at(self.mins, distances, thetas)
-        np.maximum.at(self.maxs, distances, thetas)
+    def add_batch(self, distances: np.ndarray, nearest: np.ndarray) -> None:
+        size = self.length + 1
+        self.nearest += np.bincount(
+            distances * size + nearest, minlength=size * size).reshape(size, size)
+
+    def nearest_counts(self, distance: int) -> dict[int, int]:
+        """{|N|: function count} at `distance`, for the sizes that occur."""
+        row = {k: n for k, n in enumerate(self.nearest[distance].tolist()) if n}
+        if not row:
+            raise ValueError(f"no samples at distance {distance}")
+        return row
 
     def mean(self, distance: int) -> float:
-        if self.counts[distance] == 0:
-            raise ValueError(f"no samples at distance {distance}")
-        return float(self.sums[distance] / self.counts[distance])
+        """Exact mean theta: one correctly rounded int division."""
+        row = self.nearest_counts(distance)
+        return self._theta(distance, sum(k * n for k, n in row.items()),
+                           sum(row.values()))
+
+    def min_theta(self, distance: int) -> float:
+        return self._theta(distance, min(self.nearest_counts(distance)))
+
+    def max_theta(self, distance: int) -> float:
+        return self._theta(distance, max(self.nearest_counts(distance)))
+
+    def _theta(self, distance: int, weight: int, count: int = 1) -> float:
+        return (weight * (self.length - 2 * distance) ** 2
+                / (count * self.length ** 2))
 
     def populated(self) -> list[int]:
         """Distances with at least one sample."""
-        return [d for d in range(self.length + 1) if self.counts[d] > 0]
+        return np.flatnonzero(self.counts).tolist()
 
     def total(self) -> int:
-        return int(self.counts.sum())
+        return int(self.nearest.sum())
 
 
 def _batch_thetas(spec: ClassifierSpec, members: np.ndarray,
                   values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (distance, theta) for a batch of function values (uint64)."""
+    """Class distance and nearest-set size |N| for a batch of function
+    values (uint64); theta = |N| * ket_probabilities(distance)."""
     dist = np.bitwise_count(values[:, None] ^ members[None, :])
     dmin = dist.min(axis=1)
-    nearest = (dist == dmin[:, None]).sum(axis=1)
-    return dmin.astype(np.int64), nearest * ket_probabilities(dmin, spec.dim)
+    return dmin.astype(np.int64), (dist == dmin[:, None]).sum(axis=1)
 
 
 def exhaustive_profile(
@@ -119,8 +129,7 @@ def exhaustive_profile(
     profile = DistanceProfile.empty(recipe, "exhaustive", length)
     for start in range(0, total, chunk):
         values = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        dmin, thetas = _batch_thetas(spec, members, values)
-        profile.add_batch(dmin, thetas)
+        profile.add_batch(*_batch_thetas(spec, members, values))
         if progress is not None:
             progress(min(start + chunk, total), total)
     return profile
@@ -165,9 +174,13 @@ def stratified_sample_profile(
     members = member_array(spec)
     length = spec.dim
     half = length // 2
-    for d in per_distance_quota:
+    for d, quota in per_distance_quota.items():
         if not 1 <= d <= half:
             raise ValueError(f"quota distance {d} outside [1, {half}]")
+        if quota < 1:
+            raise ValueError(f"quota at distance {d} must be >= 1, got {quota}")
+    if attempt_factor < 1:
+        raise ValueError(f"attempt_factor must be >= 1, got {attempt_factor}")
     rng = np.random.default_rng(seed)
     profile = DistanceProfile.empty(
         recipe, "sampled", length, seed=seed, quotas=per_distance_quota)
@@ -180,8 +193,7 @@ def stratified_sample_profile(
         while profile.counts[d] < quota and attempts < cap:
             batch = min(batch, cap - attempts)
             values = _sample_attempts(rng, members, length, d, batch)
-            dmin, thetas = _batch_thetas(spec, members, values)
-            profile.add_batch(dmin, thetas)
+            profile.add_batch(*_batch_thetas(spec, members, values))
             attempts += batch
             batch = min(batch * 2, 1 << 17)
         if profile.counts[d] < quota:
@@ -289,23 +301,22 @@ def interval_summary(profile: DistanceProfile, rho: int | str | None) -> Interva
 
 
 def merge_profiles(a: DistanceProfile, b: DistanceProfile) -> DistanceProfile:
-    """Bucket-wise reduction of two shards of the same run."""
+    """Bucket-wise sum of two shards of the same run, exact in any order.
+    The merge has no one seed (each shard's manifest keeps its own) and
+    sums the shards' quotas per distance."""
     if (a.recipe, a.mode, a.length) != (b.recipe, b.mode, b.length):
         raise ValueError(
             f"cannot merge profiles with different metadata: "
             f"{(a.recipe, a.mode, a.length)} vs {(b.recipe, b.mode, b.length)}")
-    if a.mode == "sampled" and a.seed == b.seed:
+    if a.mode == "sampled" and a.seed is not None and a.seed == b.seed:
         raise ValueError(
             f"sampled shards share seed {a.seed}: they hold the same "
             f"samples, so merging would count them twice")
-    merged = DistanceProfile.empty(a.recipe, a.mode, a.length,
-                                   seed=a.seed, quotas=a.quotas)
-    merged.counts = a.counts + b.counts
-    merged.sums = a.sums + b.sums
-    merged.mins = np.minimum(a.mins, b.mins)
-    merged.maxs = np.maximum(a.maxs, b.maxs)
-    merged.short_buckets = tuple(sorted(set(a.short_buckets) | set(b.short_buckets)))
-    return merged
+    quotas = {d: a.quotas.get(d, 0) + b.quotas.get(d, 0)
+              for d in sorted(a.quotas.keys() | b.quotas.keys())}
+    return DistanceProfile(
+        a.recipe, a.mode, a.length, a.nearest + b.nearest, quotas=quotas,
+        short_buckets=tuple(sorted(set(a.short_buckets) | set(b.short_buckets))))
 
 
 def profile_rho(recipe: Sequence[str]) -> int | str:

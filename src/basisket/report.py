@@ -1,11 +1,13 @@
 """Serialization and chart emitters for profiles and distributions.
 
 CSV schema per profile row: distance, count, mean_theta, min_theta,
-max_theta.  The JSON envelope carries the recipe, mode, seed, quotas,
-and runtime next to the same rows, so a written file round-trips into
-an equal in-memory profile.  Charts show two series per distance,
-function count and mean threshold, as fixed-width ASCII bars or a
-standalone SVG.
+max_theta; CSV is export-only.  The JSON envelope carries the recipe,
+mode, length, seed, quotas, short buckets and runtime next to the same
+rows, each with one more key, ``"nearest": {"k": n, ...}``, the function
+count n of each nearest-set size k at that distance; reading a file
+back rebuilds the exact (distance, |N|) table from it.  Charts show two
+series per distance, function count and mean threshold, as fixed-width
+ASCII bars or a standalone SVG.
 """
 
 from __future__ import annotations
@@ -63,9 +65,10 @@ class Stopwatch:
 
 
 def profile_rows(profile: DistanceProfile) -> list[tuple[int, int, float, float, float]]:
+    counts = profile.counts
     return [
-        (d, int(profile.counts[d]), profile.mean(d),
-         float(profile.mins[d]), float(profile.maxs[d]))
+        (d, int(counts[d]), profile.mean(d),
+         profile.min_theta(d), profile.max_theta(d))
         for d in profile.populated()
     ]
 
@@ -90,7 +93,9 @@ def profile_to_json(profile: DistanceProfile, runtime: float = 0.0) -> str:
         "runtime_seconds": runtime,
         "rows": [
             {"distance": d, "count": c, "mean_theta": mean,
-             "min_theta": lo, "max_theta": hi}
+             "min_theta": lo, "max_theta": hi,
+             "nearest": {str(k): n for k, n
+                         in profile.nearest_counts(d).items()}}
             for d, c, mean, lo, hi in profile_rows(profile)
         ],
     }
@@ -103,35 +108,22 @@ def profile_from_json(text: str) -> DistanceProfile:
         tuple(doc["recipe"].split(",")), doc["mode"], doc["length"],
         seed=doc["seed"],
         quotas={int(k): v for k, v in doc["quotas"].items()})
+    length = profile.length
     for row in doc["rows"]:
-        _set_row(profile, row["distance"], row["count"], row["mean_theta"],
-                 row["min_theta"], row["max_theta"])
+        d = row["distance"]
+        if not 0 <= d <= length:
+            raise ValueError(f"row distance {d} outside 0..{length}")
+        for k, n in row.get("nearest", {}).items():
+            if not 1 <= int(k) <= length:
+                raise ValueError(f"row at distance {d}: nearest-set size "
+                                 f"{k} outside 1..{length}")
+            profile.nearest[d, int(k)] = n
+        if profile.counts[d] != row["count"]:
+            raise ValueError(
+                f"row at distance {d}: nearest counts sum to "
+                f"{profile.counts[d]}, not count {row['count']}")
     profile.short_buckets = tuple(doc["short_buckets"])
     return profile
-
-
-def profile_from_csv(text: str, recipe: tuple[str, ...], mode: str,
-                     length: int) -> DistanceProfile:
-    """Rebuild a profile from its CSV rows (metadata supplied by caller)."""
-    profile = DistanceProfile.empty(recipe, mode, length)
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != PROFILE_CSV_HEADER:
-        raise ValueError(f"unexpected CSV header: {header}")
-    for row in reader:
-        _set_row(profile, int(row[0]), int(row[1]), *map(float, row[2:5]))
-    return profile
-
-
-def _set_row(profile: DistanceProfile, d: int, count: int, mean: float,
-             lo: float, hi: float) -> None:
-    if not 0 <= d <= profile.length:
-        raise ValueError(
-            f"row distance {d} outside 0..{profile.length}")
-    profile.counts[d] = count
-    profile.sums[d] = mean * count
-    profile.mins[d] = lo
-    profile.maxs[d] = hi
 
 
 def distribution_to_csv(probs: np.ndarray, n_bits: int) -> str:

@@ -44,7 +44,7 @@ from basisket import (
     stratified_sample_profile,
     validate_basis,
 )
-from basisket.classifier import member_array
+from basisket.classifier import ket_probabilities, member_array
 from basisket.experiment import _batch_thetas
 from basisket.reference import (
     TABLE_3,
@@ -213,8 +213,9 @@ class TestCriterion4OracleEquivalence:
         values = [rng.getrandbits(length) for _ in range(100)]
         values += [int(rng.choice(members)) ^ (1 << rng.randrange(length))
                    for _ in range(100)]
-        dmin, thetas = _batch_thetas(spec, members,
-                                     np.array(values, dtype=np.uint64))
+        dmin, sizes = _batch_thetas(spec, members,
+                                    np.array(values, dtype=np.uint64))
+        thetas = sizes * ket_probabilities(dmin, length)
 
         probs = apply_classifier(spec, sign_states(spec, values)) ** 2
         dist = np.array([[(v ^ int(m)).bit_count() for m in members]
@@ -222,6 +223,7 @@ class TestCriterion4OracleEquivalence:
         nearest = dist == dist.min(axis=1, keepdims=True)
         want = np.where(nearest, probs, 0.0).sum(axis=1)
         assert np.array_equal(dmin, dist.min(axis=1))
+        assert np.array_equal(sizes, nearest.sum(axis=1))
         assert np.abs(thetas - want).max() <= 1e-12
         exact = nearest.sum(axis=1) * (length - 2 * dmin) ** 2 / length ** 2
         assert np.array_equal(thetas, exact)
@@ -349,7 +351,7 @@ class TestCriterion7PropertySuite:
             stratified_sample_profile(recipe, quotas, seed=1),
             stratified_sample_profile(recipe, quotas, seed=2))
         assert np.array_equal(m1.counts, m2.counts)
-        assert np.array_equal(m1.sums, m2.sums)
+        assert np.array_equal(m1.nearest, m2.nearest)
 
     def test_nearest_set_brute_force_agreement(self):
         rng = random.Random(127)

@@ -75,6 +75,14 @@ class TestEnumerate:
         assert "recipe H,H,H" in out
         assert "#" in out and "*" in out
 
+    def test_missing_output_directory_is_an_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "enumerate", "--recipe", "H,C2",
+                             "--out", str(target))
+        assert code == 1
+        assert err.startswith("error: ") and str(target) in err
+        assert out == ""
+
     def test_length32_rejected(self, capsys):
         code, _, err = run(capsys, "enumerate", "--recipe", "C2,C2,H")
         assert code == 1
@@ -117,6 +125,19 @@ class TestSample:
         assert run(capsys, "game", "--recipe", "C2,C2", "--trials", "5",
                    "--seed", "1")[0] == 0
         assert run(capsys, "bases", "--recipe", "C2")[0] == 0
+
+    @pytest.mark.parametrize("flag, name", [
+        (("--quota", "1=-3"), "quota"),
+        (("--attempt-factor", "0"), "attempt_factor"),
+    ], ids=["quota", "attempt_factor"])
+    def test_non_positive_sampler_input_writes_nothing(self, capsys, tmp_path,
+                                                       flag, name):
+        target = tmp_path / "p.json"
+        code, out, err = run(capsys, "sample", "--recipe", "C2,C2,H",
+                             "--quota", "2=5", *flag, "--out", str(target))
+        assert code == 1
+        assert name in err
+        assert out == "" and not target.exists()
 
     def test_svg_histogram_written(self, capsys, tmp_path):
         target = tmp_path / "prof.csv"
@@ -177,6 +198,15 @@ class TestGame:
         code, plain, _ = run(capsys, "game", "--recipe", "C2,C2",
                              "--trials", "20", "--seed", "4")
         assert code == 0 and json.loads(plain) == json.loads(out)
+
+    def test_rounds_out_into_missing_directory_is_an_error(self, capsys,
+                                                           tmp_path):
+        target = tmp_path / "missing" / "rounds.jsonl"
+        code, out, err = run(capsys, "game", "--recipe", "C2,C2",
+                             "--trials", "5", "--rounds-out", str(target))
+        assert code == 1
+        assert err.startswith("error: ") and str(target) in err
+        assert out == ""
 
     def test_same_seed_gives_the_same_bytes(self, capsys, tmp_path):
         def game(seed, name):

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from basisket import (
     profile_rho,
     stratified_sample_profile,
 )
+from basisket.report import profile_to_json
 
 # frozen exhaustive aggregates for the pure rank-4 recipe:
 # distance -> (function count, exact mean threshold)
@@ -40,7 +44,8 @@ class TestExhaustiveProfile:
         assert profile.populated() == sorted(C2C2_EXPECTED)
         for d, (count, mean) in C2C2_EXPECTED.items():
             assert profile.counts[d] == count
-            assert profile.mean(d) == pytest.approx(mean, abs=1e-12)
+            # exact: the mean is the correctly rounded rational
+            assert profile.mean(d) == mean
 
     def test_rank3_counts_and_means(self):
         profile = exhaustive_profile(("H", "C2"))
@@ -50,14 +55,13 @@ class TestExhaustiveProfile:
         assert profile.mean(3) == pytest.approx(0.21875, abs=1e-12)
         assert profile.mean(4) == pytest.approx(0.0, abs=1e-9)
         # distance 2 spans a wide threshold range, up to a perfect score
-        assert profile.mins[2] == pytest.approx(0.25, abs=1e-12)
-        assert profile.maxs[2] == pytest.approx(1.0, abs=1e-12)
+        assert profile.min_theta(2) == 0.25
+        assert profile.max_theta(2) == 1.0
 
     def test_chunking_does_not_change_the_result(self):
         a = exhaustive_profile(("H", "H", "H"))
         b = exhaustive_profile(("H", "H", "H"), chunk=100)
-        assert np.array_equal(a.counts, b.counts)
-        assert np.allclose(a.sums, b.sums, atol=1e-12)
+        assert np.array_equal(a.nearest, b.nearest)
 
     @pytest.mark.parametrize("chunk", [0, -5])
     def test_chunk_must_be_positive(self, chunk):
@@ -79,12 +83,21 @@ class TestExhaustiveProfile:
         basis = spec.basis()
         profile = exhaustive_profile(spec.factors)
         check = DistanceProfile.empty(spec.factors, "exhaustive", 8)
+        thetas: dict[int, list[float]] = {}
         for value in range(256):
             report = classification_threshold(
                 spec, basis, PatternVector(value, 8))
-            check.add(report.nearest.distance, report.theta)
-        assert np.array_equal(profile.counts, check.counts)
-        assert np.allclose(profile.sums, check.sums, atol=1e-9)
+            d = report.nearest.distance
+            check.add_batch(np.array([d]),
+                            np.array([len(report.nearest.indices)]))
+            thetas.setdefault(d, []).append(report.theta)
+        assert np.array_equal(profile.nearest, check.nearest)
+        assert sorted(thetas) == profile.populated()
+        for d, ts in thetas.items():
+            # the thetas are dyadic, so their sum is exact
+            assert profile.mean(d) == math.fsum(ts) / len(ts)
+            assert profile.min_theta(d) == min(ts)
+            assert profile.max_theta(d) == max(ts)
 
 
 class TestStratifiedSampleProfile:
@@ -95,10 +108,9 @@ class TestStratifiedSampleProfile:
         for d in quotas:
             assert a.counts[d] >= quotas[d]
         assert a.short_buckets == ()
-        assert np.array_equal(a.counts, b.counts)
-        assert np.array_equal(a.sums, b.sums)
+        assert np.array_equal(a.nearest, b.nearest)
         c = stratified_sample_profile(SAMPLED_RECIPE, quotas, seed=8)
-        assert not np.array_equal(a.sums, c.sums)
+        assert not np.array_equal(a.nearest, c.nearest)
 
     def test_sampled_thetas_are_exact_per_function(self):
         # re-derive one low-distance bucket analytically: every distance-1
@@ -108,8 +120,8 @@ class TestStratifiedSampleProfile:
         basis = spec.basis()
         h = PatternVector(basis.members[0].value ^ 1, 32)
         want = classification_threshold(spec, basis, h).theta
-        assert profile.mins[1] == pytest.approx(want, abs=1e-12)
-        assert profile.maxs[1] == pytest.approx(want, abs=1e-12)
+        assert profile.min_theta(1) == want
+        assert profile.max_theta(1) == want
 
     def test_unreachable_bucket_is_flagged_not_fatal(self):
         # distance-15 hits are ~5e-5 of attempts; a factor-2 cap must
@@ -124,6 +136,17 @@ class TestStratifiedSampleProfile:
             stratified_sample_profile(SAMPLED_RECIPE, {17: 10}, seed=0)
         with pytest.raises(ValueError, match="outside"):
             stratified_sample_profile(SAMPLED_RECIPE, {0: 10}, seed=0)
+
+    @pytest.mark.parametrize("quota", [0, -3])
+    def test_quota_must_be_positive(self, quota):
+        with pytest.raises(ValueError, match="quota at distance 1"):
+            stratified_sample_profile(SAMPLED_RECIPE, {2: 5, 1: quota}, seed=0)
+
+    @pytest.mark.parametrize("factor", [0, -1])
+    def test_attempt_factor_must_be_positive(self, factor):
+        with pytest.raises(ValueError, match="attempt_factor"):
+            stratified_sample_profile(SAMPLED_RECIPE, {1: 5}, seed=0,
+                                      attempt_factor=factor)
 
     def test_small_ranks_are_redirected_to_exhaustive(self):
         with pytest.raises(ValueError, match="exhaustively enumerable"):
@@ -186,8 +209,28 @@ class TestMergeProfiles:
         b = stratified_sample_profile(SAMPLED_RECIPE, quotas, seed=2)
         merged = merge_profiles(a, b)
         assert np.array_equal(merged.counts, a.counts + b.counts)
-        assert np.allclose(merged.sums, a.sums + b.sums)
-        assert np.array_equal(merged.mins[:3], np.minimum(a.mins, b.mins)[:3])
+        assert np.array_equal(merged.nearest, a.nearest + b.nearest)
+        for d in (1, 2):
+            assert merged.min_theta(d) == min(a.min_theta(d), b.min_theta(d))
+            assert merged.max_theta(d) == max(a.max_theta(d), b.max_theta(d))
+
+    def test_merge_is_independent_of_order_and_grouping(self):
+        quotas = {1: 10, 2: 10}
+        a, b, c, d = (stratified_sample_profile(SAMPLED_RECIPE, quotas, seed=s)
+                      for s in (1, 2, 3, 4))
+        ab = profile_to_json(merge_profiles(a, b))
+        assert ab == profile_to_json(merge_profiles(b, a))
+        left = profile_to_json(merge_profiles(merge_profiles(a, b), c))
+        right = profile_to_json(merge_profiles(a, merge_profiles(b, c)))
+        assert left == right
+        doc = json.loads(left)
+        # no one seed reproduces a merge; each shard keeps its own
+        assert doc["seed"] is None
+        assert doc["quotas"] == {"1": 30, "2": 30}
+        # two merges, both without a seed, still merge
+        pairs = merge_profiles(merge_profiles(a, b), merge_profiles(c, d))
+        chain = merge_profiles(merge_profiles(merge_profiles(a, b), c), d)
+        assert profile_to_json(pairs) == profile_to_json(chain)
 
     def test_metadata_mismatch(self):
         a = exhaustive_profile(("H", "H"))

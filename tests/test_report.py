@@ -11,7 +11,6 @@ from basisket.report import (
     ascii_histogram,
     distribution_to_csv,
     distribution_to_json,
-    profile_from_csv,
     profile_from_json,
     profile_rows,
     profile_to_csv,
@@ -23,6 +22,11 @@ from basisket.report import (
 @pytest.fixture(scope="module")
 def profile():
     return exhaustive_profile(("H", "C2"))
+
+
+@pytest.fixture(scope="module")
+def hhhh():
+    return exhaustive_profile(("H", "H", "H", "H"))
 
 
 @pytest.fixture(scope="module")
@@ -38,19 +42,6 @@ class TestCsv:
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "8"
 
-    def test_round_trip(self, profile):
-        text = profile_to_csv(profile)
-        back = profile_from_csv(text, profile.recipe, profile.mode,
-                                profile.length)
-        assert np.array_equal(back.counts, profile.counts)
-        assert np.allclose(back.sums, profile.sums, atol=1e-15)
-        assert np.array_equal(back.mins[profile.populated()],
-                              profile.mins[profile.populated()])
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(ValueError, match="unexpected CSV header"):
-            profile_from_csv("a,b,c\n", ("H",), "exhaustive", 2)
-
 
 class TestJson:
     def test_round_trip_preserves_metadata(self, sampled):
@@ -61,7 +52,37 @@ class TestJson:
         assert back.quotas == {1: 10, 2: 10}
         assert back.short_buckets == sampled.short_buckets
         assert np.array_equal(back.counts, sampled.counts)
-        assert np.allclose(back.sums, sampled.sums, atol=1e-9)
+        assert np.array_equal(back.nearest, sampled.nearest)
+
+    @pytest.mark.parametrize("which", ["profile", "sampled", "hhhh"])
+    def test_round_trip_is_exact(self, request, which):
+        # H,H,H,H's d=7 theta sum is 100: rebuilding it as mean * count
+        # gave 100.00000000000001
+        p = request.getfixturevalue(which)
+        text = profile_to_json(p, runtime=0.25)
+        back = profile_from_json(text)
+        assert np.array_equal(back.nearest, p.nearest)
+        assert profile_to_json(back, runtime=0.25) == text
+
+    def test_row_without_nearest_rejected(self, profile):
+        doc = json.loads(profile_to_json(profile))
+        del doc["rows"][1]["nearest"]
+        with pytest.raises(ValueError, match="nearest counts sum to 0"):
+            profile_from_json(json.dumps(doc))
+
+    def test_nearest_counts_must_sum_to_count(self, profile):
+        doc = json.loads(profile_to_json(profile))
+        doc["rows"][1]["count"] += 1
+        with pytest.raises(ValueError, match="not count"):
+            profile_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("size", ["0", "9"])
+    def test_nearest_size_out_of_range_rejected(self, profile, size):
+        doc = json.loads(profile_to_json(profile))
+        row = doc["rows"][1]
+        row["nearest"] = {size: row["count"]}
+        with pytest.raises(ValueError, match="nearest-set size"):
+            profile_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("distance", [-1, 9])
     def test_row_distance_out_of_range_rejected(self, profile, distance):
@@ -75,6 +96,12 @@ class TestJson:
         assert doc["recipe"] == "H,C2"
         assert doc["length"] == 8
         assert [r["distance"] for r in doc["rows"]] == profile.populated()
+        # nearest-set sizes that occur, with their function counts
+        assert doc["rows"][0]["nearest"] == {"1": 8}
+        for row in doc["rows"]:
+            assert row["nearest"] == {
+                str(k): int(n)
+                for k, n in enumerate(profile.nearest[row["distance"]]) if n}
 
 
 class TestDistributionEmitters:
@@ -134,6 +161,5 @@ class TestManifestAndStopwatch:
         for d, count, mean, lo, hi in profile_rows(profile):
             assert count == profile.counts[d]
             assert mean == profile.mean(d)
-            # summing then dividing can nudge the mean past the extremes
-            # by a few ulps
-            assert lo - 1e-12 <= mean <= hi + 1e-12
+            # the mean is exact, so it never leaves [min, max]
+            assert lo <= mean <= hi

@@ -32,9 +32,8 @@ from .patterns import (
 #: Index bits consumed by each classifier factor.
 FACTOR_BITS = {"H": 1, "C2": 2}
 
-#: Classifier factor <-> basis factor correspondence.
+#: Classifier factor -> basis factor correspondence.
 FACTOR_TO_BASIS = {"H": "B1", "C2": "Q2"}
-BASIS_TO_FACTOR = {"B1": "H", "Q2": "C2"}
 
 _H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]]) / sqrt(2.0)
 _C2_MATRIX = np.full((4, 4), 0.5)

@@ -17,6 +17,7 @@ set, else 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,11 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classifier import (
-    BASIS_TO_FACTOR,
-    ClassifierSpec,
-    classification_threshold,
-)
+from .classifier import ClassifierSpec, classification_threshold
 from .experiment import (
     exhaustive_profile,
     interval_summary,
@@ -70,7 +67,11 @@ def _parse_quotas(items: list[str] | None, length: int,
     quotas: dict[int, int] = {}
     for item in items:
         d, _, count = item.partition("=")
-        quotas[int(d)] = int(count)
+        try:
+            quotas[int(d)] = int(count)
+        except ValueError:
+            raise ValueError(f"--quota expects D=COUNT with integers D and "
+                             f"COUNT, got {item!r}") from None
     return quotas
 
 
@@ -171,75 +172,14 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _diff_exhaustive_table(which: int, recipes, expected) -> list[reference.CellDiff]:
-    diffs = []
-    for recipe in recipes:
-        profile = exhaustive_profile(recipe)
-        name = ",".join(BASIS_TO_FACTOR.get(f, f) for f in recipe)
-        for d, want in expected.items():
-            actual = profile.mean(d) if profile.counts[d] > 0 else 0.0
-            tol = reference.cell_tolerance(want)
-            if abs(actual - want) > tol:
-                diffs.append(reference.CellDiff(which, name, d, want, actual, tol))
-    return diffs
-
-
 def cmd_tables(args) -> int:
-    which = args.which
-    diffs: list[reference.CellDiff] = []
-    if which == 3:
-        diffs = _diff_exhaustive_table(
-            3, reference.TABLE_3_RECIPES, reference.TABLE_3)
-    elif which == 5:
-        diffs = _diff_exhaustive_table(
-            5, reference.TABLE_5_GENERIC_RECIPES, reference.TABLE_5_GENERIC)
-        diffs += _diff_exhaustive_table(
-            5, (("C2", "C2"),), reference.TABLE_5_C2C2)
-    elif which == 7:
-        recipe = reference.TABLE_7_RECIPE
-        quotas = {d: reference.TABLE_7_QUOTA for d in range(1, 16)}
-        profile = stratified_sample_profile(
-            recipe, quotas, reference.TABLE_7_SEED,
-            attempt_factor=args.attempt_factor)
-        name = ",".join(recipe)
-        for low, high, lo_bound, hi_bound in reference.TABLE_7_REGIONS:
-            for d in range(low, high + 1):
-                mean = profile.mean(d) if profile.counts[d] > 0 else float("nan")
-                if not lo_bound < mean < hi_bound:
-                    diffs.append(reference.CellDiff(
-                        7, name, d, (lo_bound + hi_bound) / 2, mean,
-                        (hi_bound - lo_bound) / 2))
-        for probe_name, report in probe_suite(recipe):
-            if probe_name.startswith("complement_of_member"):
-                if report.theta > reference.EXACT_TOL:
-                    diffs.append(reference.CellDiff(
-                        7, name, report.nearest.distance, 0.0, report.theta,
-                        reference.EXACT_TOL))
-    elif which == 8:
-        from .patterns import rho_recurrence
-        for m, (recipe, rho) in enumerate(reference.TABLE_8_RHO.items(), start=1):
-            name = ",".join(recipe)
-            if profile_rho(recipe) != rho or rho_recurrence(m) != rho:
-                diffs.append(reference.CellDiff(8, name, 0, rho,
-                                                float(profile_rho(recipe)),
-                                                0.0))
-            reports = dict(probe_suite(recipe))
-            all_ones = reports["all_ones"]
-            if all_ones.nearest.distance != rho:
-                diffs.append(reference.CellDiff(
-                    8, name, rho, rho, float(all_ones.nearest.distance), 0.0))
-            if abs(all_ones.theta - 1.0) > reference.EXACT_TOL:
-                diffs.append(reference.CellDiff(
-                    8, name, rho, 1.0, all_ones.theta, reference.EXACT_TOL))
-    else:
-        print(f"unknown table {which}; choose from 3, 5, 7, 8", file=sys.stderr)
-        return 1
+    diffs = reference.check_table(args.which, args.attempt_factor)
+    for diff in diffs:
+        print(f"DIFF {diff}")
     if diffs:
-        for diff in diffs:
-            print(f"DIFF {diff}")
-        print(f"table {which}: {len(diffs)} cell(s) outside tolerance")
+        print(f"table {args.which}: {len(diffs)} cell(s) outside tolerance")
         return 2
-    print(f"table {which}: all cells within tolerance")
+    print(f"table {args.which}: all cells within tolerance")
     return 0
 
 
@@ -272,7 +212,9 @@ def cmd_game(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: it holds no per-call state."""
     parser = argparse.ArgumentParser(
         prog="basisket",
         description="Pattern-basis classification of Boolean functions.")
@@ -283,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--recipe", required=True,
                        help="comma-separated factors, e.g. H,C2,H")
         if seed:
-            p.add_argument("--seed", type=_seed,
-                           default=os.environ.get(SEED_ENV_VAR, "0"))
+            # None: read SEED_ENV_VAR when dispatching (see cli_dispatch)
+            p.add_argument("--seed", type=_seed)
         if output:
             p.add_argument("--out", help="output file (default: stdout)")
             p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -315,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="diff against published reference tables")
     p.add_argument("--which", type=int, required=True, choices=(3, 5, 7, 8))
-    p.add_argument("--attempt-factor", type=int, default=100_000,
+    p.add_argument("--attempt-factor", type=int,
+                   default=reference.TABLE_7_ATTEMPT_FACTOR,
                    help="sampling attempt cap multiple (table 7 only)")
     p.set_defaults(func=cmd_tables)
 
@@ -335,15 +278,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cli_dispatch(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; the contract is exit 1
         return 0 if exc.code in (0, None) else 1
     try:
+        if getattr(args, "seed", 0) is None:
+            args.seed = _seed(os.environ.get(SEED_ENV_VAR, "0"))
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,17 +1,28 @@
-"""Published reference values that the `tables` subcommand checks against.
+"""Published reference tables as data, and the one checker that diffs them.
 
-Each entry reproduces one published summary table of classification
-thresholds.  Two-decimal cells are compared within +/- 0.005; cells
-claimed to be exactly 0.00 or 1.00 are compared within 1e-9.
+Tables 3 and 5 (exhaustive means, lengths 8 and 16) are (recipes sharing
+a column, column) pairs; table 7 (length 32) is a sampler recipe, seed and
+quota with open mean intervals over distance regions; table 8 is the
+uniform zero count rho of each pure-C2 class, where the all-ones probe
+must spike to threshold 1.  `check_table` turns a table into its cells
+(recipe, d, expected, actual, tolerance) and returns those not strictly
+within tolerance: +/- 0.005 for two-decimal cells, 1e-9 for exact claims.
+A table 7 region becomes its midpoint and half-width, so its bounds stay
+open: a mean exactly on a bound fails, and so does an empty bucket (NaN).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+from .experiment import (exhaustive_profile, probe_suite, profile_rho,
+                         stratified_sample_profile)
+from .patterns import rho_recurrence
 
 #: Comparison tolerance for two-decimal reference cells.
 CELL_TOL = 0.005
-#: Tolerance for exact 0.0 / 1.0 claims.
+#: Tolerance for exact claims.
 EXACT_TOL = 1e-9
 
 
@@ -49,9 +60,17 @@ TABLE_5_C2C2 = {
     8: 0.0, 9: 0.16, 10: 1.0, **{d: 0.0 for d in range(11, 17)},
 }
 
+#: Tables 3 and 5 as (recipes sharing a column, column) pairs.
+EXHAUSTIVE_TABLES = {
+    3: ((TABLE_3_RECIPES, TABLE_3),),
+    5: ((TABLE_5_GENERIC_RECIPES, TABLE_5_GENERIC),
+        ((("C2", "C2"),), TABLE_5_C2C2)),
+}
+
 # Reference table 7: length-32 sampled thresholds, reported as interval
-# membership only.  (d, low, high) with open bounds; the 16..32 region
-# is exactly 0 and covered by member-complement probes.
+# membership only.  (low d, high d, low mean, high mean) with open mean
+# bounds; the 16..32 region is exactly 0 and covered by member-complement
+# probes.
 TABLE_7_RECIPE = ("C2", "C2", "H")
 TABLE_7_REGIONS = (
     (1, 4, 0.5, 1.0),
@@ -59,6 +78,8 @@ TABLE_7_REGIONS = (
 )
 TABLE_7_SEED = 42
 TABLE_7_QUOTA = 200
+#: Sampling attempt cap per bucket, as a multiple of the quota.
+TABLE_7_ATTEMPT_FACTOR = 100_000
 
 # Reference table 8: uniform zero counts of the pure-C2 classes and the
 # threshold-1 spike of the all-ones probe at that distance.
@@ -72,3 +93,43 @@ TABLE_8_RHO = {
 def cell_tolerance(expected: float) -> float:
     """Exact claims (0.0 and 1.0) get the tight tolerance."""
     return EXACT_TOL if expected in (0.0, 1.0) else CELL_TOL
+
+
+def check_table(which: int, attempt_factor: int = TABLE_7_ATTEMPT_FACTOR
+                ) -> list[CellDiff]:
+    """The cells of table `which` that are not strictly within tolerance.
+    `attempt_factor` caps table 7's sampler."""
+    return [CellDiff(which, *cell) for cell in _cells(which, attempt_factor)
+            if not abs(cell[3] - cell[2]) < cell[4]]
+
+
+def _cells(which: int, attempt_factor: int):
+    """Yield (recipe, d, expected, actual, tolerance) per cell of a table."""
+    if which == 7:
+        name = ",".join(TABLE_7_RECIPE)
+        profile = stratified_sample_profile(
+            TABLE_7_RECIPE, {d: TABLE_7_QUOTA for d in range(1, 16)},
+            TABLE_7_SEED, attempt_factor=attempt_factor)
+        for low, high, lo, hi in TABLE_7_REGIONS:
+            for d in range(low, high + 1):
+                mean = profile.mean(d) if profile.counts[d] else math.nan
+                yield name, d, (lo + hi) / 2, mean, (hi - lo) / 2
+        for probe, report in probe_suite(TABLE_7_RECIPE):
+            if probe.startswith("complement_of_member"):
+                yield (name, report.nearest.distance, 0.0, report.theta,
+                       EXACT_TOL)
+    elif which == 8:
+        for recipe, rho in TABLE_8_RHO.items():
+            name = ",".join(recipe)
+            all_ones = dict(probe_suite(recipe))["all_ones"]
+            yield name, 0, rho, profile_rho(recipe), EXACT_TOL
+            yield name, 0, rho, rho_recurrence(len(recipe)), EXACT_TOL
+            yield name, rho, rho, all_ones.nearest.distance, EXACT_TOL
+            yield name, rho, 1.0, all_ones.theta, EXACT_TOL
+    else:
+        for recipes, column in EXHAUSTIVE_TABLES[which]:
+            for recipe in recipes:
+                profile = exhaustive_profile(recipe)
+                for d, want in column.items():
+                    actual = profile.mean(d) if profile.counts[d] else 0.0
+                    yield ",".join(recipe), d, want, actual, cell_tolerance(want)

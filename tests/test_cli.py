@@ -108,7 +108,7 @@ class TestSample:
     def test_seed_env_var_default(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "77")
         out_a = tmp_path / "a.json"
-        # the env default is baked into the parser at build time
+        # the env default is read when the command is dispatched
         code, _, _ = run(capsys, "sample", "--recipe", "C2,C2,H",
                          "--quota", "1=10", "--format", "json",
                          "--out", str(out_a))
@@ -139,6 +139,15 @@ class TestSample:
         assert name in err
         assert out == "" and not target.exists()
 
+    @pytest.mark.parametrize("quota", ["5", "x=5", "1="])
+    def test_malformed_quota_names_the_flag(self, capsys, tmp_path, quota):
+        target = tmp_path / "p.json"
+        code, out, err = run(capsys, "sample", "--recipe", "C2,C2,H",
+                             "--quota", quota, "--out", str(target))
+        assert code == 1
+        assert "--quota" in err and "D=COUNT" in err and repr(quota) in err
+        assert out == "" and not target.exists()
+
     def test_svg_histogram_written(self, capsys, tmp_path):
         target = tmp_path / "prof.csv"
         code, out, _ = run(capsys, "sample", "--recipe", "C2,C2,H",
@@ -165,6 +174,35 @@ class TestTables:
         assert "H,H,H" in out
         diff_lines = [l for l in out.splitlines() if l.startswith("DIFF")]
         assert all("H,H,H d=2" in l for l in diff_lines)
+        assert out.splitlines() == [
+            "DIFF table 3 recipe H,H,H d=2: expected 0.54 got 0.500000 "
+            "(tol 0.005)",
+            "table 3: 1 cell(s) outside tolerance",
+        ]
+
+    def test_table_5_reports_exactly_the_known_diffs(self, capsys):
+        code, out, _ = run(capsys, "tables", "--which", "5")
+        assert code == 2
+        assert out.splitlines() == [
+            "DIFF table 5 recipe H,H,H,H d=1: expected 0.76 got 0.765625 "
+            "(tol 0.005)",
+            "DIFF table 5 recipe H,H,H,H d=5: expected 0.36 got 0.347426 "
+            "(tol 0.005)",
+            "DIFF table 5 recipe H,H,H,H d=7: expected 0.1 got 0.142045 "
+            "(tol 0.005)",
+            "DIFF table 5 recipe H,H,C2 d=1: expected 0.76 got 0.765625 "
+            "(tol 0.005)",
+            "DIFF table 5 recipe H,C2,H d=1: expected 0.76 got 0.765625 "
+            "(tol 0.005)",
+            "DIFF table 5 recipe C2,H,H d=1: expected 0.76 got 0.765625 "
+            "(tol 0.005)",
+            "table 5: 6 cell(s) outside tolerance",
+        ]
+
+    def test_table_7_matches(self, capsys):
+        code, out, _ = run(capsys, "tables", "--which", "7")
+        assert code == 0
+        assert out == "table 7: all cells within tolerance\n"
 
     def test_unknown_table_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "tables", "--which", "4")

@@ -33,7 +33,7 @@ print(f"P(outcome 3) = {probs[3]:.12f} (exact classification)")
 
 # One flipped bit away from r0 the nearest ket still dominates.
 h = PatternVector.parse("0000000100011110")
-report = classification_threshold(spec, basis, h)
+report = classification_threshold(spec, h)
 print(f"\nh = {h} (one bit away from r0)")
 print(f"distance {report.nearest.distance}, "
       f"nearest kets {sorted(report.nearest.indices)}, "
@@ -47,7 +47,7 @@ for i, p in enumerate(report.distribution):
 # The all-ones function sits at the uniform zero-count distance rho = 10
 # from every member, and the threshold spikes back to exactly 1.
 ones = PatternVector.parse("1" * 16)
-report = classification_threshold(spec, basis, ones)
+report = classification_threshold(spec, ones)
 print(f"\nall-ones: distance {report.nearest.distance}, "
       f"theta = {report.theta:.12f} "
       f"(spread over all {len(report.nearest.indices)} kets)")

@@ -6,8 +6,9 @@ diagonal -1/2).  The leftmost factor in a recipe owns the most
 significant index bits.  All operators are real, so states are plain
 float64 vectors.
 
-G is a distance oracle: every hot path takes outcome probabilities from
-member distances with ``ket_probabilities``.  The in-place butterflies
+G is a distance oracle: every hot path takes member distances from the
+one popcount kernel ``member_distances`` and outcome probabilities from
+them with ``ket_probabilities``.  The in-place butterflies
 (``apply_classifier``) and the Kronecker matrix (``dense_unitary``) are
 the two oracles that closed form is tested against.
 """
@@ -26,7 +27,6 @@ from .patterns import (
     PatternVector,
     RANK_CAP,
     build_basis_from_recipe,
-    distance_from_class,
 )
 
 #: Index bits consumed by each classifier factor.
@@ -169,6 +169,14 @@ def member_array(spec: ClassifierSpec) -> np.ndarray:
     return members
 
 
+def member_distances(members: np.ndarray,
+                     values) -> tuple[np.ndarray, np.ndarray]:
+    """Hamming distances from uint64 values of any shape to every member
+    (new last axis) and their minimum, the class distance."""
+    dist = np.bitwise_count(np.asarray(values, np.uint64)[..., None] ^ members)
+    return dist, dist.min(axis=-1)
+
+
 def ket_probabilities(distances, length: int) -> np.ndarray:
     """Outcome probabilities ((L - 2d) / L)**2 from member distances d.
 
@@ -183,24 +191,19 @@ def ket_probabilities(distances, length: int) -> np.ndarray:
 
 def outcome_distribution(spec: ClassifierSpec, h: PatternVector) -> np.ndarray:
     """Exact measurement probabilities over basis kets for input h."""
+    return classification_threshold(spec, h).distribution
+
+
+def classification_threshold(spec: ClassifierSpec,
+                             h: PatternVector) -> ThresholdReport:
+    """Probability that the measured ket is one of h's nearest basis kets."""
     if h.length != spec.dim:
         raise ValueError(
             f"dimension mismatch: classifier is {spec.dim}-dimensional, "
             f"function has {h.length} bits")
-    distances = np.bitwise_count(member_array(spec) ^ np.uint64(h.value))
-    return ket_probabilities(distances, spec.dim)
-
-
-def classification_threshold(
-    spec: ClassifierSpec, basis: PatternBasis, h: PatternVector
-) -> ThresholdReport:
-    """Probability that the measured ket is one of h's nearest basis kets."""
-    expected = tuple(FACTOR_TO_BASIS[f] for f in spec.factors)
-    if basis.recipe != expected:
-        raise ValueError(
-            f"recipe mismatch: classifier {','.join(spec.factors)} pairs with "
-            f"basis {','.join(expected)}, got {','.join(basis.recipe)}")
-    nearest = distance_from_class(basis, h)
-    probs = outcome_distribution(spec, h)
-    theta = float(probs[sorted(nearest.indices)].sum())
-    return ThresholdReport(theta, nearest, probs)
+    dist, dmin = member_distances(member_array(spec), h.value)
+    nearest = np.flatnonzero(dist == dmin)
+    probs = ket_probabilities(dist, spec.dim)
+    return ThresholdReport(float(probs[nearest].sum()),
+                           NearestSet(int(dmin), frozenset(nearest.tolist())),
+                           probs)

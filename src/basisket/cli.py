@@ -51,13 +51,12 @@ from .report import (
 SEED_ENV_VAR = "BASISKET_SEED"
 
 
-def _seed(text: str) -> int:
+def _seed(text: str, source: str = "") -> int:
     try:
         return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"seed must be an integer, got {text!r} "
-            f"(the default comes from {SEED_ENV_VAR})") from None
+            f"seed must be an integer, got {text!r}{source}") from None
 
 
 def _parse_quotas(items: list[str] | None, length: int,
@@ -117,9 +116,8 @@ def cmd_bases(args) -> int:
 
 def cmd_classify(args) -> int:
     spec = ClassifierSpec.parse(args.recipe)
-    basis = spec.basis()
     h = PatternVector.parse(args.function)
-    report = classification_threshold(spec, basis, h)
+    report = classification_threshold(spec, h)
     probs = report.distribution
     body = (distribution_to_json(probs, spec.total_bits) if args.format == "json"
             else distribution_to_csv(probs, spec.total_bits))
@@ -285,7 +283,8 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         if getattr(args, "seed", 0) is None:
-            args.seed = _seed(os.environ.get(SEED_ENV_VAR, "0"))
+            args.seed = _seed(os.environ.get(SEED_ENV_VAR, "0"),
+                              f" (from {SEED_ENV_VAR})")
         return args.func(args)
     except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ the distance axis that random flips cannot reach.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .classifier import (
     ThresholdReport,
     classification_threshold,
     member_array,
+    member_distances,
 )
 from .patterns import PatternBasis, PatternVector, class_rho
 
@@ -31,6 +32,16 @@ EXHAUSTIVE_RANK_CAP = 4
 
 #: Stratified buckets give up after this many attempts per requested sample.
 ATTEMPT_FACTOR = 50
+
+
+class Bucket(NamedTuple):
+    """One populated distance of a profile, all from its {|N|: n} row."""
+
+    count: int
+    mean: float
+    min_theta: float
+    max_theta: float
+    nearest: dict[int, int]
 
 
 @dataclass
@@ -73,17 +84,25 @@ class DistanceProfile:
             raise ValueError(f"no samples at distance {distance}")
         return row
 
-    def mean(self, distance: int) -> float:
-        """Exact mean theta: one correctly rounded int division."""
+    def bucket(self, distance: int) -> Bucket:
+        """Count, exact mean (one correctly rounded int division), min
+        and max theta at `distance`, from one nearest_counts row."""
         row = self.nearest_counts(distance)
-        return self._theta(distance, sum(k * n for k, n in row.items()),
-                           sum(row.values()))
+        count = sum(row.values())
+        return Bucket(
+            count,
+            self._theta(distance, sum(k * n for k, n in row.items()), count),
+            self._theta(distance, min(row)), self._theta(distance, max(row)),
+            row)
+
+    def mean(self, distance: int) -> float:
+        return self.bucket(distance).mean
 
     def min_theta(self, distance: int) -> float:
-        return self._theta(distance, min(self.nearest_counts(distance)))
+        return self.bucket(distance).min_theta
 
     def max_theta(self, distance: int) -> float:
-        return self._theta(distance, max(self.nearest_counts(distance)))
+        return self.bucket(distance).max_theta
 
     def _theta(self, distance: int, weight: int, count: int = 1) -> float:
         return (weight * (self.length - 2 * distance) ** 2
@@ -101,8 +120,7 @@ def _batch_thetas(spec: ClassifierSpec, members: np.ndarray,
                   values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Class distance and nearest-set size |N| for a batch of function
     values (uint64); theta = |N| * ket_probabilities(distance)."""
-    dist = np.bitwise_count(values[:, None] ^ members[None, :])
-    dmin = dist.min(axis=1)
+    dist, dmin = member_distances(members, values)
     return dmin.astype(np.int64), (dist == dmin[:, None]).sum(axis=1)
 
 
@@ -213,9 +231,8 @@ def probe_suite(
     random flip sampling cannot reach.
     """
     spec = ClassifierSpec(tuple(recipe))
-    basis = spec.basis()
-    return [(name, classification_threshold(spec, basis, h))
-            for name, h in probe_functions(basis)]
+    return [(name, classification_threshold(spec, h))
+            for name, h in probe_functions(spec.basis())]
 
 
 def probe_functions(basis: PatternBasis) -> list[tuple[str, PatternVector]]:
@@ -251,6 +268,14 @@ class IntervalSummary:
         return all(r.consistent for r in self.regions)
 
 
+def regions(length: int) -> tuple[tuple[int, int], ...]:
+    """The paper's three distance regions (low, high) for functions of
+    `length` bits: 1 .. L/8, L/8+1 .. L/2-1 and L/2 .. L.  The first
+    region's top, L/8, is where Alice stops saying yes and Bob pivots."""
+    b1, b2 = length // 8, length // 2
+    return (1, b1), (b1 + 1, b2 - 1), (b2, length)
+
+
 def interval_summary(profile: DistanceProfile, rho: int | str | None) -> IntervalSummary:
     """Classify populated buckets into the three standard regions.
 
@@ -262,8 +287,6 @@ def interval_summary(profile: DistanceProfile, rho: int | str | None) -> Interva
     """
     if profile.total() == 0:
         raise ValueError("profile is empty")
-    length = profile.length
-    b1, b2 = length // 8, length // 2
     uniform_rho = rho if isinstance(rho, int) else None
 
     def check(low: int, high: int, expectation: str) -> RegionVerdict:
@@ -285,11 +308,10 @@ def interval_summary(profile: DistanceProfile, rho: int | str | None) -> Interva
                 bad.append(d)
         return RegionVerdict(low, high, expectation, not bad, tuple(bad))
 
-    regions = (
-        check(1, b1, "above_half"),
-        check(b1 + 1, b2 - 1, "below_half"),
-        check(b2, length, "zero"),
-    )
+    verdicts = tuple(
+        check(low, high, expectation)
+        for (low, high), expectation in zip(
+            regions(profile.length), ("above_half", "below_half", "zero")))
     spike = None
     if uniform_rho is not None and profile.counts[uniform_rho] > 0:
         spike = profile.mean(uniform_rho)
@@ -297,7 +319,7 @@ def interval_summary(profile: DistanceProfile, rho: int | str | None) -> Interva
     mono = tuple(
         d2 for d1, d2 in zip(pop, pop[1:])
         if profile.mean(d2) > profile.mean(d1) + 1e-12)
-    return IntervalSummary(regions, uniform_rho, spike, mono)
+    return IntervalSummary(verdicts, uniform_rho, spike, mono)
 
 
 def merge_profiles(a: DistanceProfile, b: DistanceProfile) -> DistanceProfile:

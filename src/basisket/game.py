@@ -34,9 +34,10 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .classifier import ClassifierSpec, ket_probabilities, member_array
-from .patterns import NearestSet, PatternVector, class_rho, distance_from_class
-from .experiment import _sample_attempts, probe_functions
+from .classifier import (ClassifierSpec, classification_threshold,
+                         ket_probabilities, member_array, member_distances)
+from .patterns import NearestSet, PatternVector, class_rho
+from .experiment import _sample_attempts, probe_functions, regions
 
 #: Flip attempts per pick before falling back to deterministic probes.
 PICK_ATTEMPT_CAP = 512
@@ -64,6 +65,10 @@ class GameConfig:
             raise ValueError(f"unknown Alice strategy {self.alice!r}")
         if self.bob == "at_distance" and not self.bob_distance:
             raise ValueError("at_distance strategy needs a positive distance")
+        if self.bob != "at_distance" and self.bob_distance is not None:
+            raise ValueError(
+                f"Bob's distance {self.bob_distance} applies only to the "
+                f"at_distance strategy, not {self.bob}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
@@ -89,7 +94,7 @@ def alice_interval_decide(d, n: int, rho: int | None = None):
     d = np.asarray(d)
     if (d < 1).any():
         raise ValueError("the game excludes class members (distance 0)")
-    yes = d <= (1 << n) // 8
+    yes = d <= regions(1 << n)[0][1]
     if rho is not None:
         yes |= d == rho
     return yes if yes.ndim else bool(yes)
@@ -102,11 +107,6 @@ def _game_context(recipe: tuple[str, ...]):
     basis = spec.basis()
     rho = class_rho(basis)
     return spec, basis, member_array(spec), rho if isinstance(rho, int) else None
-
-
-def _distances(values: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Hamming distance from each value (rows) to each member (columns)."""
-    return np.bitwise_count(values[:, None] ^ members)
 
 
 def _pick(rng: np.random.Generator, recipe: tuple[str, ...], strategy: str,
@@ -123,7 +123,7 @@ def _pick(rng: np.random.Generator, recipe: tuple[str, ...], strategy: str,
     spec, basis, members, _ = _game_context(recipe)
     length = spec.dim
     if strategy == "pivot":
-        strategy, distance = "at_distance", length // 8
+        strategy, distance = "at_distance", regions(length)[0][1]
 
     if strategy == "uniform_random":
         values = rng.integers(0, 1 << length, size=size, dtype=np.uint64)
@@ -146,8 +146,7 @@ def _pick(rng: np.random.Generator, recipe: tuple[str, ...], strategy: str,
                        PICK_ATTEMPT_CAP - attempted)
         tries = _sample_attempts(rng, members, length, distance,
                                  pending.size * per_pick).reshape(-1, per_pick)
-        hit = _distances(tries.ravel(), members).min(axis=1) == distance
-        hit = hit.reshape(tries.shape)
+        hit = member_distances(members, tries)[1] == distance
         found = hit.any(axis=1)
         values[pending[found]] = tries[found, hit[found].argmax(axis=1)]
         pending = pending[~found]
@@ -155,7 +154,7 @@ def _pick(rng: np.random.Generator, recipe: tuple[str, ...], strategy: str,
     if pending.size:
         probes = np.array([h.value for _, h in probe_functions(basis)],
                           dtype=np.uint64)
-        matching = probes[_distances(probes, members).min(axis=1) == distance]
+        matching = probes[member_distances(members, probes)[1] == distance]
         if not matching.size:
             raise ValueError(
                 f"no function at distance {distance} from the class reachable "
@@ -178,10 +177,10 @@ def bob_pick(
     cap.  Returns the function together with its exact nearest set.
     """
     recipe = tuple(recipe)
-    basis = _game_context(recipe)[1]
+    spec = _game_context(recipe)[0]
     value = _pick(np.random.default_rng(seed), recipe, strategy, distance, 1)
-    h = PatternVector(int(value[0]), basis.length)
-    return h, distance_from_class(basis, h)
+    h = PatternVector(int(value[0]), spec.dim)
+    return h, classification_threshold(spec, h).nearest
 
 
 @dataclass(frozen=True)
@@ -202,8 +201,7 @@ def _play_block(config: GameConfig, rng: np.random.Generator,
     and one verdict per round."""
     spec, _, members, rho = _game_context(config.recipe)
     values = _pick(rng, config.recipe, config.bob, config.bob_distance, size)
-    dist = _distances(values, members)
-    dmin = dist.min(axis=1)
+    dist, dmin = member_distances(members, values)
     nearest = dist == dmin[:, None]
     # inverse-CDF draw: the single quantum measurement of each round.
     # Counting cdf < u equals searchsorted(cdf, u) row by row, and the

@@ -269,7 +269,8 @@ def validate_basis(members: Sequence[PatternVector]) -> BasisViolation | None:
 
 def distance_from_class(basis: PatternBasis, h: PatternVector) -> NearestSet:
     """Minimum Hamming distance from h to the basis members, with all
-    argmin member indices."""
+    argmin member indices: the pure-integer scalar oracle that
+    ``classifier.member_distances`` is tested against."""
     if h.length != basis.length:
         raise ValueError(
             f"length mismatch: function has {h.length} bits, "

@@ -65,12 +65,8 @@ class Stopwatch:
 
 
 def profile_rows(profile: DistanceProfile) -> list[tuple[int, int, float, float, float]]:
-    counts = profile.counts
-    return [
-        (d, int(counts[d]), profile.mean(d),
-         profile.min_theta(d), profile.max_theta(d))
-        for d in profile.populated()
-    ]
+    """(distance, count, mean, min, max theta) per populated distance."""
+    return [(d, *profile.bucket(d)[:4]) for d in profile.populated()]
 
 
 def profile_to_csv(profile: DistanceProfile) -> str:
@@ -83,6 +79,7 @@ def profile_to_csv(profile: DistanceProfile) -> str:
 
 
 def profile_to_json(profile: DistanceProfile, runtime: float = 0.0) -> str:
+    buckets = {d: profile.bucket(d) for d in profile.populated()}
     doc = {
         "recipe": ",".join(profile.recipe),
         "mode": profile.mode,
@@ -92,11 +89,10 @@ def profile_to_json(profile: DistanceProfile, runtime: float = 0.0) -> str:
         "short_buckets": list(profile.short_buckets),
         "runtime_seconds": runtime,
         "rows": [
-            {"distance": d, "count": c, "mean_theta": mean,
-             "min_theta": lo, "max_theta": hi,
-             "nearest": {str(k): n for k, n
-                         in profile.nearest_counts(d).items()}}
-            for d, c, mean, lo, hi in profile_rows(profile)
+            {"distance": d, "count": b.count, "mean_theta": b.mean,
+             "min_theta": b.min_theta, "max_theta": b.max_theta,
+             "nearest": {str(k): n for k, n in b.nearest.items()}}
+            for d, b in buckets.items()
         ],
     }
     return json.dumps(doc, indent=2)

@@ -25,6 +25,7 @@ from basisket import (
     apply_c2_factor,
     apply_classifier,
     apply_hadamard_factor,
+    bob_pick,
     build_basis_from_recipe,
     class_rho,
     classification_threshold,
@@ -46,6 +47,7 @@ from basisket import (
 )
 from basisket.classifier import ket_probabilities, member_array
 from basisket.experiment import _batch_thetas
+from basisket.game import play_rounds
 from basisket.reference import (
     TABLE_3,
     TABLE_3_RECIPES,
@@ -197,7 +199,7 @@ class TestCriterion4OracleEquivalence:
             assert np.array_equal(probs, exact_probabilities(length, members, v))
             assert probs.sum() == 1.0
             h = PatternVector(v, length)
-            report = classification_threshold(spec, basis, h)
+            report = classification_threshold(spec, h)
             d = report.nearest.distance
             assert report.theta == (len(report.nearest.indices)
                                     * (length - 2 * d) ** 2 / length ** 2)
@@ -229,9 +231,10 @@ class TestCriterion4OracleEquivalence:
         assert np.array_equal(thetas, exact)
 
     def test_no_library_path_calls_the_oracles(self, monkeypatch):
-        # the butterflies and the Kronecker matrix are test oracles only
+        # the butterflies, the Kronecker matrix and the scalar nearest-set
+        # loop are test oracles only
         oracles = (apply_classifier, apply_hadamard_factor, apply_c2_factor,
-                   initial_amplitudes, dense_unitary)
+                   initial_amplitudes, dense_unitary, distance_from_class)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("library code called an oracle")
@@ -249,6 +252,12 @@ class TestCriterion4OracleEquivalence:
                                      "interval_threshold", trials=20, seed=0))
         estimate_win_rate(GameConfig(recipe, "at_distance", "always_yes",
                                      trials=5, seed=0, bob_distance=10))
+        classification_threshold(ClassifierSpec(recipe),
+                                 PatternVector.parse("1" * 16))
+        bob_pick(recipe, "at_distance", seed=0, distance=10)
+        bob_pick(recipe, "pivot", seed=0)
+        list(play_rounds(GameConfig(recipe, "pivot", "interval_threshold",
+                                    trials=20, seed=0)))
 
 
 class TestCriterion5RhoProbes:

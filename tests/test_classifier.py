@@ -11,12 +11,13 @@ from basisket import (
     apply_c2_factor,
     apply_classifier,
     apply_hadamard_factor,
-    build_basis_from_recipe,
     classification_threshold,
     dense_unitary,
+    distance_from_class,
     initial_amplitudes,
     outcome_distribution,
 )
+from basisket.classifier import member_array, member_distances
 
 PV = PatternVector.parse
 
@@ -187,8 +188,7 @@ class TestClassificationThreshold:
     def test_published_distance_one_example(self):
         # flip one bit of the first rank-4 member: theta is exactly (7/8)**2
         spec = ClassifierSpec(("C2", "C2"))
-        report = classification_threshold(
-            spec, spec.basis(), PV("0000000100011110"))
+        report = classification_threshold(spec, PV("0000000100011110"))
         assert report.nearest.distance == 1
         assert report.nearest.indices == frozenset({0})
         assert abs(report.theta - 0.765625) < 1e-12
@@ -198,24 +198,17 @@ class TestClassificationThreshold:
         spec = ClassifierSpec(("H", "C2"))
         member0 = spec.basis().members[0]
         h = PatternVector(member0.value ^ 1, 8)
-        report = classification_threshold(spec, spec.basis(), h)
+        report = classification_threshold(spec, h)
         assert report.nearest.distance == 1
         assert abs(report.theta - 0.5625) < 1e-12
 
     def test_all_ones_spike(self):
         # uniform distance rho = 10 from every rank-4 member: theta exactly 1
         spec = ClassifierSpec(("C2", "C2"))
-        report = classification_threshold(
-            spec, spec.basis(), PV("1" * 16))
+        report = classification_threshold(spec, PV("1" * 16))
         assert report.nearest.distance == 10
         assert len(report.nearest.indices) == 16
         assert abs(report.theta - 1.0) < 1e-9
-
-    def test_recipe_mismatch_rejected(self):
-        spec = ClassifierSpec(("H", "C2"))
-        wrong = build_basis_from_recipe(["Q2", "B1"])
-        with pytest.raises(ValueError, match="recipe mismatch"):
-            classification_threshold(spec, wrong, PV("0" * 8))
 
     def test_theta_equals_masked_distribution_sum(self):
         spec = ClassifierSpec(("C2", "H"))
@@ -223,7 +216,31 @@ class TestClassificationThreshold:
         rng = random.Random(43)
         for _ in range(30):
             h = PatternVector(rng.getrandbits(8), 8)
-            report = classification_threshold(spec, basis, h)
+            report = classification_threshold(spec, h)
             manual = sum(report.distribution[i] for i in report.nearest.indices)
             assert abs(report.theta - manual) < ALGEBRA_TOL
             assert 0.0 <= report.theta <= 1.0 + ALGEBRA_TOL
+
+
+class TestMemberDistances:
+    @pytest.mark.parametrize("recipe", [("H", "C2"), ("C2", "C2", "H"),
+                                        ("C2", "C2", "C2")],
+                             ids=["H,C2", "C2,C2,H", "C2,C2,C2"])
+    def test_matches_the_scalar_oracle_for_any_leading_shape(self, recipe):
+        spec = ClassifierSpec(recipe)
+        basis = spec.basis()
+        members = member_array(spec)
+        rng = np.random.default_rng(zlib.crc32(str(recipe).encode()))
+        values = rng.integers(0, 1 << spec.dim, size=(3, 5), dtype=np.uint64)
+        dist, dmin = member_distances(members, values)
+        assert dist.shape == (3, 5, len(members)) and dmin.shape == (3, 5)
+        for index in np.ndindex(values.shape):
+            h = PatternVector(int(values[index]), spec.dim)
+            nearest = distance_from_class(basis, h)
+            assert dmin[index] == nearest.distance
+            assert set(np.flatnonzero(dist[index] == dmin[index])) == \
+                nearest.indices
+            assert classification_threshold(spec, h).nearest == nearest
+        # a scalar value gives one row and a scalar minimum
+        dist, dmin = member_distances(members, int(values[0, 0]))
+        assert dist.shape == (len(members),) and dmin.shape == ()

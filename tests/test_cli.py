@@ -126,6 +126,16 @@ class TestSample:
                    "--seed", "1")[0] == 0
         assert run(capsys, "bases", "--recipe", "C2")[0] == 0
 
+    def test_bad_seed_flag_does_not_blame_the_env_var(self, capsys,
+                                                      monkeypatch):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        code, out, err = run(capsys, "sample", "--recipe", "C2,C2,H",
+                             "--seed", "x", "--quota", "1=5")
+        assert code == 1 and out == ""
+        assert err.rstrip().endswith(
+            "argument --seed: seed must be an integer, got 'x'")
+        assert SEED_ENV_VAR not in err
+
     @pytest.mark.parametrize("flag, name", [
         (("--quota", "1=-3"), "quota"),
         (("--attempt-factor", "0"), "attempt_factor"),
@@ -218,6 +228,14 @@ class TestGame:
         doc = json.loads(out)
         assert doc["alice_win_rate"] == 1.0
         assert doc["trials"] == 50
+
+    def test_distance_needs_the_at_distance_strategy(self, capsys):
+        # pivot plays at L/8 = 2; a summary saying "distance": 3 would lie
+        code, out, err = run(capsys, "game", "--recipe", "C2,C2",
+                             "--bob", "pivot", "--distance", "3",
+                             "--trials", "5", "--seed", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "distance 3" in err
 
     def test_rounds_out(self, capsys, tmp_path):
         target = tmp_path / "rounds.jsonl"

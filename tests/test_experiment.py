@@ -8,7 +8,7 @@ from basisket import (
     ClassifierSpec,
     DistanceProfile,
     PatternVector,
-    classification_threshold,
+    distance_from_class,
     exhaustive_profile,
     interval_summary,
     merge_profiles,
@@ -16,6 +16,7 @@ from basisket import (
     profile_rho,
     stratified_sample_profile,
 )
+from basisket.experiment import regions
 from basisket.report import profile_to_json
 
 # frozen exhaustive aggregates for the pure rank-4 recipe:
@@ -78,19 +79,18 @@ class TestExhaustiveProfile:
             exhaustive_profile(SAMPLED_RECIPE)
 
     def test_spot_check_against_scalar_path(self):
-        # batch aggregation must agree with the one-function reference API
+        # batch aggregation must agree with the scalar nearest-set oracle
+        # and the closed form theta = |N| ((L - 2d) / L)**2
         spec = ClassifierSpec(("C2", "H"))
         basis = spec.basis()
         profile = exhaustive_profile(spec.factors)
         check = DistanceProfile.empty(spec.factors, "exhaustive", 8)
         thetas: dict[int, list[float]] = {}
         for value in range(256):
-            report = classification_threshold(
-                spec, basis, PatternVector(value, 8))
-            d = report.nearest.distance
-            check.add_batch(np.array([d]),
-                            np.array([len(report.nearest.indices)]))
-            thetas.setdefault(d, []).append(report.theta)
+            nearest = distance_from_class(basis, PatternVector(value, 8))
+            d, k = nearest.distance, len(nearest.indices)
+            check.add_batch(np.array([d]), np.array([k]))
+            thetas.setdefault(d, []).append(k * ((8 - 2 * d) / 8) ** 2)
         assert np.array_equal(profile.nearest, check.nearest)
         assert sorted(thetas) == profile.populated()
         for d, ts in thetas.items():
@@ -119,7 +119,9 @@ class TestStratifiedSampleProfile:
         spec = ClassifierSpec(SAMPLED_RECIPE)
         basis = spec.basis()
         h = PatternVector(basis.members[0].value ^ 1, 32)
-        want = classification_threshold(spec, basis, h).theta
+        nearest = distance_from_class(basis, h)
+        assert nearest.distance == 1
+        want = len(nearest.indices) * ((32 - 2) / 32) ** 2
         assert profile.min_theta(1) == want
         assert profile.max_theta(1) == want
 
@@ -195,6 +197,15 @@ class TestIntervalSummary:
         assert summary.rho_spike == pytest.approx(1.0, abs=1e-9)
         assert 5 in summary.monotonicity_violations
         assert 10 in summary.monotonicity_violations
+
+    @pytest.mark.parametrize("length,bounds", [
+        (8, ((1, 1), (2, 3), (4, 8))),
+        (16, ((1, 2), (3, 7), (8, 16))),
+        (32, ((1, 4), (5, 15), (16, 32))),
+        (64, ((1, 8), (9, 31), (32, 64))),
+    ])
+    def test_regions_tile_the_distance_axis(self, length, bounds):
+        assert regions(length) == bounds
 
     def test_empty_profile_rejected(self):
         empty = DistanceProfile.empty(("H",), "exhaustive", 2)

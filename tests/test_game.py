@@ -7,11 +7,11 @@ from basisket import (
     GameConfig,
     alice_interval_decide,
     bob_pick,
-    classification_threshold,
     distance_from_class,
     estimate_win_rate,
     play_round,
 )
+from basisket.experiment import regions
 from basisket.game import (
     ROUND_BLOCK,
     _game_context,
@@ -45,6 +45,11 @@ class TestGameConfig:
         with pytest.raises(ValueError, match="needs a positive distance"):
             GameConfig(RANK4, "at_distance", "always_yes", 10, 0)
 
+    @pytest.mark.parametrize("bob", ["pivot", "uniform_random"])
+    def test_distance_only_for_at_distance(self, bob):
+        with pytest.raises(ValueError, match="distance 3 applies only"):
+            GameConfig(RANK4, bob, "always_yes", 10, 0, bob_distance=3)
+
     def test_trials_positive(self):
         with pytest.raises(ValueError, match="trials"):
             GameConfig(RANK4, "pivot", "always_yes", 0, 0)
@@ -61,6 +66,12 @@ class TestAliceIntervalDecide:
         assert alice_interval_decide(10, 4, rho=10) is True
         assert alice_interval_decide(10, 4, rho=None) is False
         assert alice_interval_decide(9, 4, rho=10) is False
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_yes_region_is_the_first_interval_region(self, n):
+        low, high = regions(1 << n)[0]
+        assert [d for d in range(1, (1 << n) + 1)
+                if alice_interval_decide(d, n)] == list(range(low, high + 1))
 
     def test_members_excluded(self):
         with pytest.raises(ValueError, match="distance 0"):
@@ -178,12 +189,14 @@ class TestBlockEngine:
         spec, basis, _, rho = _game_context(recipe)
         config = GameConfig(recipe, bob, "interval_threshold", trials=600,
                             seed=21, bob_distance=distance)
+        length = spec.dim
         for record in play_rounds(config):
-            report = classification_threshold(spec, basis, record.function)
-            nearest = report.nearest
+            nearest = distance_from_class(basis, record.function)
             assert record.distance == nearest.distance >= 1
             assert record.in_nearest == (record.outcome in nearest.indices)
-            assert record.theta == report.theta
+            assert record.theta == (len(nearest.indices)
+                                    * ((length - 2 * nearest.distance)
+                                       / length) ** 2)
             assert record.alice_yes is alice_interval_decide(
                 nearest.distance, spec.total_bits, rho)
             assert record.alice_wins == (record.alice_yes == record.in_nearest)

@@ -205,6 +205,7 @@ def cmd_game(args) -> int:
         "recipe": args.recipe, "bob": args.bob, "alice": args.alice,
         "distance": args.distance, "trials": args.trials, "seed": args.seed,
         "alice_win_rate": result.rate, "standard_error": result.standard_error,
+        "wilson_95": list(result.wilson_95),
         "alice_exact_win_rate": result.exact_rate,
     }, indent=2))
     return 0

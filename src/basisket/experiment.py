@@ -14,6 +14,9 @@ the distance axis that random flips cannot reach.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import accumulate, product
+from math import comb, prod
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -32,6 +35,12 @@ EXHAUSTIVE_RANK_CAP = 4
 
 #: Stratified buckets give up after this many attempts per requested sample.
 ATTEMPT_FACTOR = 50
+
+#: The flip sampler unranks a subset one chunk of this many bits at a time.
+WORD_BITS = 16
+
+#: Size cap of its popcount-sorted table of WORD_BITS-bit words.
+WORD_TABLE_BYTES = 1 << 17
 
 
 class Bucket(NamedTuple):
@@ -153,16 +162,83 @@ def exhaustive_profile(
     return profile
 
 
+@lru_cache(maxsize=None)
+def _popcount_sorted_words(width: int) -> np.ndarray:
+    """Every `width`-bit word, by popcount and then by value: the words
+    of popcount k are entries sum(C(width, j), j < k) onwards."""
+    words = np.arange(1 << width, dtype=np.uint16)
+    table = words[np.argsort(np.bitwise_count(words), kind="stable")]
+    assert table.nbytes <= WORD_TABLE_BYTES
+    table.flags.writeable = False  # cached: every caller shares it
+    return table
+
+
+@lru_cache(maxsize=None)
+def _compositions(length: int, d: int):
+    """The ways (k_0, ...) to spread d flips over the `length`-bit word's
+    chunks of WORD_BITS bits, each with its rank range.
+
+    Returns (starts, radix, offsets): composition i owns the ranks
+    starts[i] .. starts[i] + prod(radix[i]) - 1, radix[i, j] = C(width, k_j)
+    is the number of chunk-j words, and offsets[i, j] is where those
+    words begin in the popcount-sorted word table.
+    """
+    width = min(length, WORD_BITS)
+    chunks = length // width
+    first = [0, *accumulate(comb(width, k) for k in range(width))]
+    starts, radix, offsets = [], [], []
+    total = 0
+    for head in product(range(width + 1), repeat=chunks - 1):
+        ks = (*head, d - sum(head))
+        if not 0 <= ks[-1] <= width:
+            continue
+        starts.append(total)
+        radix.append([comb(width, k) for k in ks])
+        offsets.append([first[k] for k in ks])
+        total += prod(radix[-1])
+    assert total == comb(length, d), (length, d, total)
+    tables = (np.array(starts, dtype=np.int64), np.array(radix, dtype=np.int64),
+              np.array(offsets, dtype=np.int64))
+    for table in tables:
+        table.flags.writeable = False  # cached: every caller shares it
+    return tables
+
+
+def _unrank_subsets(ranks: np.ndarray, length: int, d: int) -> np.ndarray:
+    """The d-subsets of `length` bit positions with the given ranks in
+    [0, C(length, d)), as uint64 masks; a bijection onto the masks of
+    popcount d.
+
+    A rank picks its composition (flips per chunk) by interval; the rest
+    of it is a mixed-radix number whose digit j indexes chunk j's word
+    among the chunk words of that popcount.
+    """
+    starts, radix, offsets = _compositions(length, d)
+    words = _popcount_sorted_words(min(length, WORD_BITS))
+    row = np.searchsorted(starts, ranks, side="right") - 1
+    rest = ranks - starts[row]
+    masks = np.zeros(ranks.shape, dtype=np.uint64)
+    for j in range(radix.shape[1]):
+        if j < radix.shape[1] - 1:
+            rest, digit = np.divmod(rest, radix[row, j])
+        else:
+            digit = rest
+        word = words[offsets[row, j] + digit].astype(np.uint64)
+        masks |= word << np.uint64(j * WORD_BITS)
+    return masks
+
+
 def _sample_attempts(rng: np.random.Generator, members: np.ndarray,
                      length: int, d: int, count: int) -> np.ndarray:
     """Random functions at distance exactly d from a random member each
-    (true class distance may be smaller)."""
+    (true class distance may be smaller).
+
+    Each attempt draws a uniform member, then a uniform rank in
+    [0, C(length, d)) that `_unrank_subsets` maps to the d bits to flip.
+    """
     picks = rng.integers(0, len(members), size=count)
-    # random d-subsets of bit positions, one row per attempt
-    positions = np.argpartition(rng.random((count, length)), d - 1, axis=1)[:, :d]
-    flips = np.bitwise_or.reduce(
-        np.uint64(1) << positions.astype(np.uint64), axis=1)
-    return members[picks] ^ flips
+    ranks = rng.integers(0, comb(length, d), size=count, dtype=np.int64)
+    return members[picks] ^ _unrank_subsets(ranks, length, d)
 
 
 def stratified_sample_profile(
@@ -175,10 +251,14 @@ def stratified_sample_profile(
 
     For each target distance d, flips a uniformly random d-subset of a
     uniformly random member's bits, computes the true minimum distance,
-    and credits the sample to its true bucket.  A bucket that stays
+    and credits the sample to its true bucket.  The subset is one
+    uniform rank in [0, C(L, d)), unranked into its flip mask (see
+    `_unrank_subsets`), so an attempt costs two bounded integer draws
+    whatever d is.  A bucket that stays
     short of quota after attempt_factor * quota attempts is flagged in
     `short_buckets` rather than failing the run.  Deterministic given
-    the seed.
+    the seed: the same seed gives the same profile, byte for byte, within
+    one version of the sampler.
 
     Flip targets just below 2**(n-1) hit their exact distance rarely
     (most flips land nearer some other member), so filling those buckets

@@ -28,6 +28,7 @@ Monte Carlo rate; it has the same expectation and no measurement noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -115,7 +116,9 @@ def _pick(rng: np.random.Generator, recipe: tuple[str, ...], strategy: str,
 
     at_distance makes flip attempts (`distance` random bits of a random
     member) for all pending picks in one sampler call, about ROUND_BLOCK
-    attempts but at least one per pick, and retries only the misses; a
+    attempts but at least one per pick, and retries only the misses.
+    Each attempt draws its member and then one rank in [0, C(L, distance))
+    that names its flipped bits (`experiment._unrank_subsets`); a
     pick still missing after PICK_ATTEMPT_CAP attempts takes the first
     deterministic probe (all-ones, all-zeros, member complements) at
     that distance.
@@ -246,13 +249,18 @@ def play_round(config: GameConfig, round_seed) -> RoundRecord:
     return next(_records(block, _game_context(config.recipe)[0].dim))
 
 
+#: Normal quantile of the two-sided 95% Wilson interval.
+WILSON_Z = 1.959963984540054
+
+
 @dataclass(frozen=True)
 class WinRate:
     rate: float
-    standard_error: float
+    standard_error: float  # Wald: 0 when Alice always (or never) wins
     trials: int
     wins: int
     exact_rate: float  # Rao-Blackwell: mean of each round's win chance
+    wilson_95: tuple[float, float]  # (low, high), wide even at rate 0 or 1
 
 
 def play_rounds(config: GameConfig) -> Iterator[RoundRecord]:
@@ -267,15 +275,28 @@ def play_rounds(config: GameConfig) -> Iterator[RoundRecord]:
         yield from _records(block, length)
 
 
+def wilson_interval(rate: float, trials: int,
+                    z: float = WILSON_Z) -> tuple[float, float]:
+    """Wilson score interval (Wilson, JASA 1927) of a binomial rate,
+    clipped to [0, 1]; unlike the Wald interval it has positive width
+    at rates 0 and 1."""
+    z2n = z * z / trials
+    centre = (rate + z2n / 2) / (1 + z2n)
+    half = z / (1 + z2n) * math.sqrt(rate * (1 - rate) / trials
+                                     + z2n / (4 * trials))
+    return max(0.0, centre - half), min(1.0, centre + half)
+
+
 def _win_rate(trials: int, wins: int, chances: float) -> WinRate:
     rate = wins / trials
     se = float(np.sqrt(rate * (1.0 - rate) / trials))
-    return WinRate(rate, se, trials, wins, chances / trials)
+    return WinRate(rate, se, trials, wins, chances / trials,
+                   wilson_interval(rate, trials))
 
 
 def tally(records: Iterable[RoundRecord]) -> WinRate:
-    """Fraction of rounds won by Alice, with binomial standard error, and
-    the mean of her exact win chances."""
+    """Fraction of rounds won by Alice, with binomial standard error and
+    95% Wilson interval, and the mean of her exact win chances."""
     trials = wins = 0
     chances = 0.0
     for record in records:

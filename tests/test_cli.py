@@ -228,6 +228,11 @@ class TestGame:
         doc = json.loads(out)
         assert doc["alice_win_rate"] == 1.0
         assert doc["trials"] == 50
+        assert doc["standard_error"] == 0.0
+        low, high = doc["wilson_95"]
+        assert 0.9 < low < high == 1.0
+        assert list(doc).index("wilson_95") == list(doc).index(
+            "standard_error") + 1
 
     def test_distance_needs_the_at_distance_strategy(self, capsys):
         # pivot plays at L/8 = 2; a summary saying "distance": 3 would lie
@@ -278,6 +283,18 @@ class TestGame:
         assert game(5, "c.jsonl")[0] != rounds
         doc = json.loads(out)
         assert 0.0 <= doc["alice_exact_win_rate"] <= 1.0
+
+    def test_same_seed_gives_the_same_stdout_at_length_64(self, capsys):
+        def game(seed):
+            code, out, _ = run(capsys, "game", "--recipe", "C2,C2,C2",
+                               "--bob", "pivot", "--trials", "1500",
+                               "--seed", str(seed))
+            assert code == 0
+            return out
+
+        out = game(8)
+        assert game(8) == out
+        assert game(9) != out
 
 
 class TestTopLevel:

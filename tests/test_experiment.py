@@ -16,7 +16,13 @@ from basisket import (
     profile_rho,
     stratified_sample_profile,
 )
-from basisket.experiment import regions
+from basisket.experiment import (
+    WORD_TABLE_BYTES,
+    _popcount_sorted_words,
+    _sample_attempts,
+    _unrank_subsets,
+    regions,
+)
 from basisket.report import profile_to_json
 
 # frozen exhaustive aggregates for the pure rank-4 recipe:
@@ -100,6 +106,59 @@ class TestExhaustiveProfile:
             assert profile.max_theta(d) == max(ts)
 
 
+def _exhaustive_unrank_cases():
+    for length, ds in ((8, range(9)), (16, range(17)), (32, range(4)),
+                       (64, (1, 2, 63, 64))):
+        for d in ds:
+            yield length, d
+
+
+class TestSubsetDraw:
+    @pytest.mark.parametrize("length,d", list(_exhaustive_unrank_cases()))
+    def test_unranking_is_a_bijection_onto_popcount_d(self, length, d):
+        masks = _unrank_subsets(
+            np.arange(math.comb(length, d), dtype=np.int64), length, d)
+        assert masks.dtype == np.uint64
+        assert np.all(np.bitwise_count(masks) == d)
+        assert np.unique(masks).size == math.comb(length, d)
+        if length < 64:
+            assert masks.max() < 1 << length
+
+    def test_top_ranks_of_long_words(self):
+        # the ranks near C(64, 32) ~ 1.8e18 stay exact in int64
+        top = math.comb(64, 32)
+        ranks = np.array([0, 1, top // 2, top - 2, top - 1], dtype=np.int64)
+        masks = _unrank_subsets(ranks, 64, 32)
+        assert np.all(np.bitwise_count(masks) == 32)
+        assert np.unique(masks).size == ranks.size
+
+    @pytest.mark.parametrize("length", [2, 4, 8, 16, 32, 64])
+    def test_attempts_flip_exactly_d_bits(self, length):
+        rng = np.random.default_rng(5)
+        members = np.zeros(1, dtype=np.uint64)
+        for d in sorted({1, length // 2, length}):
+            values = _sample_attempts(rng, members, length, d, 300)
+            assert np.all(np.bitwise_count(values) == d)
+
+    def test_word_table_is_small(self):
+        table = _popcount_sorted_words(16)
+        assert table.dtype == np.uint16 and table.nbytes <= WORD_TABLE_BYTES
+        assert np.all(np.diff(np.bitwise_count(table).astype(int)) >= 0)
+
+    @pytest.mark.parametrize("length,d", [(8, 3), (32, 2)])
+    def test_subsets_are_uniform(self, length, d):
+        # 200 draws per subset on average: every subset turns up, each
+        # count within z=5 of 200 (the L=32 case spans two chunks)
+        subsets = math.comb(length, d)
+        rng = np.random.default_rng(2)
+        values = _sample_attempts(rng, np.zeros(1, dtype=np.uint64), length,
+                                  d, 200 * subsets)
+        masks, counts = np.unique(values, return_counts=True)
+        assert masks.size == subsets
+        sigma = math.sqrt(200 * (1 - 1 / subsets))
+        assert np.all(np.abs(counts - 200) < 5 * sigma)
+
+
 class TestStratifiedSampleProfile:
     def test_meets_quota_and_is_deterministic(self):
         quotas = {1: 20, 2: 20, 3: 20, 8: 20}
@@ -111,6 +170,12 @@ class TestStratifiedSampleProfile:
         assert np.array_equal(a.nearest, b.nearest)
         c = stratified_sample_profile(SAMPLED_RECIPE, quotas, seed=8)
         assert not np.array_equal(a.nearest, c.nearest)
+
+    def test_same_seed_gives_the_same_json(self):
+        quotas = {1: 30, 6: 30, 12: 10}
+        a, b = (profile_to_json(stratified_sample_profile(
+            SAMPLED_RECIPE, quotas, seed=11)) for _ in range(2))
+        assert a == b
 
     def test_sampled_thetas_are_exact_per_function(self):
         # re-derive one low-distance bucket analytically: every distance-1

@@ -19,14 +19,16 @@ for d in (1, 2, 3, 4, 5, 8, 10):
     config = GameConfig(RECIPE, "at_distance", "interval_threshold",
                         trials=2000, seed=100 + d, bob_distance=d)
     result = estimate_win_rate(config)
+    low, high = result.wilson_95
     print(f"  d={d:2d}  win rate {result.rate:.3f} "
-          f"(+/- {result.standard_error:.3f}), exact {result.exact_rate:.3f}")
+          f"(95% [{low:.3f}, {high:.3f}]), exact {result.exact_rate:.3f}")
 
 # "exact" averages each round's exact win chance, theta(h) when Alice
 # says yes and 1 - theta(h) when she says no, so it has no measurement
 # noise.  d=8 and d=10 are sure wins: at 8 the nearest kets carry zero
 # probability and Alice says no; at rho=10 the threshold is exactly 1
-# and she says yes.
+# and she says yes.  The 95% Wilson interval keeps its width there,
+# where the standard error sqrt(p (1 - p) / n) is 0.
 
 print("\nBob at the pivot (d = 2), a few individual rounds:")
 config = GameConfig(RECIPE, "pivot", "interval_threshold",
@@ -41,5 +43,6 @@ print("\nBob picking uniformly at random, 5000 rounds:")
 config = GameConfig(RECIPE, "uniform_random", "interval_threshold",
                     trials=5000, seed=7)
 result = estimate_win_rate(config)
-print(f"  win rate {result.rate:.3f} (+/- {result.standard_error:.3f}), "
+low, high = result.wilson_95
+print(f"  win rate {result.rate:.3f} (95% [{low:.3f}, {high:.3f}]), "
       f"exact {result.exact_rate:.3f}")

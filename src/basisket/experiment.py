@@ -39,9 +39,6 @@ ATTEMPT_FACTOR = 50
 #: The flip sampler unranks a subset one chunk of this many bits at a time.
 WORD_BITS = 16
 
-#: Size cap of its popcount-sorted table of WORD_BITS-bit words.
-WORD_TABLE_BYTES = 1 << 17
-
 
 class Bucket(NamedTuple):
     """One populated distance of a profile, all from its {|N|: n} row."""
@@ -168,7 +165,6 @@ def _popcount_sorted_words(width: int) -> np.ndarray:
     of popcount k are entries sum(C(width, j), j < k) onwards."""
     words = np.arange(1 << width, dtype=np.uint16)
     table = words[np.argsort(np.bitwise_count(words), kind="stable")]
-    assert table.nbytes <= WORD_TABLE_BYTES
     table.flags.writeable = False  # cached: every caller shares it
     return table
 

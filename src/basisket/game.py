@@ -249,10 +249,6 @@ def play_round(config: GameConfig, round_seed) -> RoundRecord:
     return next(_records(block, _game_context(config.recipe)[0].dim))
 
 
-#: Normal quantile of the two-sided 95% Wilson interval.
-WILSON_Z = 1.959963984540054
-
-
 @dataclass(frozen=True)
 class WinRate:
     rate: float
@@ -275,15 +271,17 @@ def play_rounds(config: GameConfig) -> Iterator[RoundRecord]:
         yield from _records(block, length)
 
 
-def wilson_interval(rate: float, trials: int,
-                    z: float = WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval (Wilson, JASA 1927) of a binomial rate,
+_Z95 = 1.959963984540054  # normal quantile of a two-sided 95% interval
+
+
+def wilson_interval(rate: float, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval (Wilson, JASA 1927) of a binomial rate,
     clipped to [0, 1]; unlike the Wald interval it has positive width
     at rates 0 and 1."""
-    z2n = z * z / trials
+    z2n = _Z95 * _Z95 / trials
     centre = (rate + z2n / 2) / (1 + z2n)
-    half = z / (1 + z2n) * math.sqrt(rate * (1 - rate) / trials
-                                     + z2n / (4 * trials))
+    half = _Z95 / (1 + z2n) * math.sqrt(rate * (1 - rate) / trials
+                                        + z2n / (4 * trials))
     return max(0.0, centre - half), min(1.0, centre + half)
 
 

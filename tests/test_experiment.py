@@ -17,7 +17,6 @@ from basisket import (
     stratified_sample_profile,
 )
 from basisket.experiment import (
-    WORD_TABLE_BYTES,
     _popcount_sorted_words,
     _sample_attempts,
     _unrank_subsets,
@@ -142,7 +141,7 @@ class TestSubsetDraw:
 
     def test_word_table_is_small(self):
         table = _popcount_sorted_words(16)
-        assert table.dtype == np.uint16 and table.nbytes <= WORD_TABLE_BYTES
+        assert table.dtype == np.uint16 and table.nbytes == 1 << 17
         assert np.all(np.diff(np.bitwise_count(table).astype(int)) >= 0)
 
     @pytest.mark.parametrize("length,d", [(8, 3), (32, 2)])

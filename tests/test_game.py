@@ -1,3 +1,6 @@
+from math import sqrt
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
@@ -12,16 +15,23 @@ from basisket import (
 from basisket.experiment import regions
 from basisket.game import (
     ROUND_BLOCK,
-    WILSON_Z,
     _game_context,
     _play_block,
     _records,
     play_rounds,
     tally,
-    wilson_interval,
 )
+from basisket.game import wilson_interval as wilson_95
 
 RANK4 = ("C2", "C2")  # rho = 10, pivot distance 2
+Z95 = NormalDist().inv_cdf(0.975)
+
+
+def wilson_interval(rate, n, z):
+    z2 = z * z
+    centre = (rate + z2 / (2 * n)) / (1 + z2 / n)
+    half = z / (1 + z2 / n) * sqrt(rate * (1 - rate) / n + z2 / (4 * n * n))
+    return centre - half, centre + half
 
 
 class TestGameConfig:
@@ -151,7 +161,7 @@ class TestEstimateWinRate:
         # the Wilson interval stays informative where the Wald error is 0:
         # at rate 1 it is [n / (n + z**2), 1]
         low, high = result.wilson_95
-        assert low == pytest.approx(200 / (200 + WILSON_Z ** 2), rel=1e-12)
+        assert low == pytest.approx(200 / (200 + Z95 ** 2), rel=1e-12)
         assert low < high == 1.0
 
     def test_rho_spike_is_a_sure_win(self):
@@ -173,14 +183,12 @@ class TestEstimateWinRate:
                                              (1, 1), (999, 1000)])
     def test_wilson_interval(self, wins, trials):
         rate = wins / trials
-        low, high = wilson_interval(rate, trials)
+        low, high = wilson_95(rate, trials)
         assert 0.0 <= low <= rate <= high <= 1.0 and low < high
-        # the bounds are the roots in p of (rate - p)**2 = z**2 p (1 - p) / n
-        for p in (low, high):
-            if 0.0 < p < 1.0:
-                assert (rate - p) ** 2 == pytest.approx(
-                    WILSON_Z ** 2 * p * (1 - p) / trials, rel=1e-9)
-        mirror = wilson_interval(1 - rate, trials)
+        expected_low, expected_high = wilson_interval(rate, trials, Z95)
+        assert (low, high) == pytest.approx(
+            (max(0.0, expected_low), min(1.0, expected_high)), abs=1e-12)
+        mirror = wilson_95(1 - rate, trials)
         assert mirror == pytest.approx((1 - high, 1 - low), abs=1e-15)
 
     def test_reproducible_aggregate(self):
@@ -243,7 +251,7 @@ class TestBlockEngine:
         config = GameConfig(("C2", "C2", "C2"), "pivot", "interval_threshold",
                             trials=20_000, seed=17)
         result = estimate_win_rate(config)
-        low, high = wilson_interval(result.rate, config.trials, z=5.0)
+        low, high = wilson_interval(result.rate, config.trials, 5.0)
         assert low <= 0.5625 <= high
         assert result.exact_rate == 0.5625
 

@@ -1,26 +1,25 @@
 """Before/after benchmark record of a base revision against the working tree.
 
-    python3 tools/bench_compare.py --base REV --out BENCH_<n>.json \
-        [--seeds 1 2 ...] [--seconds 30] [--workload census ...]
+    python3 tools/bench_compare.py --base REV --out BENCH_<n>.json
 
 Run from anywhere inside the repository.  Unpacks REV with
 ``git archive REV | tar -x`` into a temporary directory, then runs
-``perfbench/run.py`` on that tree and on the working tree once per
-workload and seed, alternating which side runs first.  The record keeps,
-per workload and end-to-end metric of BENCHMARK.json, every run's value,
-the best of the N runs (the minimum of a lower-is-better metric, the
-maximum of a higher-is-better one), the median and quartiles before and
-after, and how many seeds the working tree won; next to them each run's
-attempted/failed check counts, both commit SHAs, the CPU, nproc and the
-Python and numpy versions.
+``perfbench/run.py`` on that tree and on the working tree for every
+workload and for seeds 1 to 10, each run as long as BENCHMARK.json's
+run_seconds, alternating which side runs first.  The record keeps, per
+workload and end-to-end metric of BENCHMARK.json, every run's value, the
+best of the runs (the minimum of a lower-is-better metric, the maximum of
+a higher-is-better one), the median and quartiles before and after, and
+how many seeds the working tree won; next to them each run's
+attempted/failed check counts, both commit SHAs, and the run environment
+(CPU, nproc, Python and numpy versions) that perfbench/run.py wrote on
+each side.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import subprocess
 import sys
 import tempfile
@@ -30,6 +29,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("census", "sampled32", "game")
+SEEDS = range(1, 11)
 
 
 def git(*args: str) -> str:
@@ -48,7 +48,8 @@ def unpack(rev: str, target: Path) -> None:
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    """The last stdout line of one perfbench/run.py run in `tree`."""
+    """The last stdout line of one perfbench/run.py run in `tree`, with
+    the environment from the full result that run.py wrote."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
@@ -56,15 +57,10 @@ def bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     if proc.returncode != 0:
         raise RuntimeError(f"{tree}: {workload} seed {seed} failed: "
                            f"{proc.stderr.strip()[-2000:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
-def cpu_name() -> str:
-    try:
-        import cpuinfo
-        return cpuinfo.get_cpu_info().get("brand_raw", "unknown")
-    except ImportError:
-        return platform.processor() or "unknown"
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    full = tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
+    result["environment"] = json.loads(full.read_text())["environment"]
+    return result
 
 
 def summarize(runs: list[dict], specs: list[dict]) -> dict:
@@ -101,25 +97,16 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision before")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--seeds", type=int, nargs="+",
-                        default=list(range(1, 11)))
-    parser.add_argument("--seconds", type=int,
-                        default=bench_spec["run_seconds"])
-    parser.add_argument("--workload", nargs="+", choices=WORKLOADS,
-                        default=list(WORKLOADS))
     args = parser.parse_args()
     specs = bench_spec["end_to_end"]
+    seconds = bench_spec["run_seconds"]
 
     record = {
-        "base": {"rev": args.base, "sha": git("rev-parse", args.base)},
+        "before": {"rev": args.base, "sha": git("rev-parse", args.base)},
         "after": {"sha": git("rev-parse", "HEAD"),
                   "dirty": bool(git("status", "--porcelain", "--", "src",
                                     "perfbench"))},
-        "environment": {"cpu": cpu_name(), "nproc": os.cpu_count(),
-                        "python": platform.python_version(),
-                        "numpy": np.__version__,
-                        "platform": platform.platform()},
-        "seeds": args.seeds, "seconds": args.seconds,
+        "seeds": list(SEEDS), "seconds": seconds,
         "best": "min of the runs for lower-is-better metrics, max for "
                 "higher-is-better ones",
         "workloads": {},
@@ -127,15 +114,16 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         base = Path(tmp)
         unpack(args.base, base)
-        for workload in args.workload:
+        for workload in WORKLOADS:
             runs = {"before": [], "after": []}
-            for i, seed in enumerate(args.seeds):
+            for i, seed in enumerate(SEEDS):
                 sides = [("before", base), ("after", ROOT)]
                 for side, tree in sides[::-1] if i % 2 else sides:
-                    runs[side].append(bench(tree, workload, seed,
-                                            args.seconds))
+                    result = bench(tree, workload, seed, seconds)
+                    record[side]["environment"] = result.pop("environment")
+                    runs[side].append(result)
                     print(f"{workload} seed {seed} {side}: "
-                          f"{runs[side][-1]['metrics']['pass_s']['value']:.4f}"
+                          f"{result['metrics']['pass_s']['value']:.4f}"
                           f" s/pass", file=sys.stderr)
             entry = {side: summarize(r, specs) for side, r in runs.items()}
             entry["after_vs_before"] = compare(entry, specs)

@@ -8,7 +8,10 @@ float64 vectors.
 
 G is a distance oracle: every hot path takes member distances from the
 one popcount kernel ``member_distances`` and outcome probabilities from
-them with ``ket_probabilities``.  The in-place butterflies
+them with ``ket_probabilities``.  The kernel is member-major: members
+run along the first axis of its output, so the minimum over members and
+the count of nearest members are elementwise passes over whole rows of
+values.  The in-place butterflies
 (``apply_classifier``) and the Kronecker matrix (``dense_unitary``) are
 the two oracles that closed form is tested against.
 """
@@ -172,9 +175,18 @@ def member_array(spec: ClassifierSpec) -> np.ndarray:
 def member_distances(members: np.ndarray,
                      values) -> tuple[np.ndarray, np.ndarray]:
     """Hamming distances from uint64 values of any shape to every member
-    (new last axis) and their minimum, the class distance."""
-    dist = np.bitwise_count(np.asarray(values, np.uint64)[..., None] ^ members)
-    return dist, dist.min(axis=-1)
+    and their minimum, the class distance.
+
+    Member-major: ``dist`` has shape ``(M, *values.shape)``, so
+    ``dist[k]`` holds every value's distance to member k, and
+    ``dmin = dist.min(axis=0)``.  A reduction over the members is then M
+    elementwise passes over contiguous rows, which numpy vectorises,
+    rather than one short inner loop of M per value along a last axis.
+    """
+    values = np.asarray(values, np.uint64)
+    column = members.reshape(members.shape + (1,) * values.ndim)
+    dist = np.bitwise_count(column ^ values)
+    return dist, dist.min(axis=0)
 
 
 def ket_probabilities(distances, length: int) -> np.ndarray:

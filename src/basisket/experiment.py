@@ -39,6 +39,9 @@ ATTEMPT_FACTOR = 50
 #: The flip sampler unranks a subset one chunk of this many bits at a time.
 WORD_BITS = 16
 
+#: Function values per pass of the distance kernel (see _batch_thetas).
+BLOCK = 1 << 13
+
 
 class Bucket(NamedTuple):
     """One populated distance of a profile, all from its {|N|: n} row."""
@@ -125,37 +128,46 @@ class DistanceProfile:
 def _batch_thetas(spec: ClassifierSpec, members: np.ndarray,
                   values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Class distance and nearest-set size |N| for a batch of function
-    values (uint64); theta = |N| * ket_probabilities(distance)."""
-    dist, dmin = member_distances(members, values)
-    return dmin.astype(np.int64), (dist == dmin[:, None]).sum(axis=1)
+    values (uint64); theta = |N| * ket_probabilities(distance).
+
+    The values go through the member-major kernel in fixed blocks of
+    BLOCK, so its temporaries stay M x BLOCK whatever the batch size.
+    |N| is summed in uint8: at most 64 members.
+    """
+    dmin = np.empty(len(values), dtype=np.int64)
+    sizes = np.empty(len(values), dtype=np.int64)
+    for start in range(0, len(values), BLOCK):
+        block = slice(start, start + BLOCK)
+        dist, d = member_distances(members, values[block])
+        dmin[block] = d
+        sizes[block] = (dist == d).sum(axis=0, dtype=np.uint8)
+    return dmin, sizes
 
 
 def exhaustive_profile(
     recipe: Sequence[str],
     progress: Callable[[int, int], None] | None = None,
-    chunk: int = 1 << 14,
 ) -> DistanceProfile:
     """Evaluate every Boolean function of the recipe's length.
 
-    Deterministic; the result is independent of chunking.  `progress`
-    receives (functions done, functions total) after each chunk.
+    Deterministic.  The values go BLOCK at a time, and `progress`
+    receives (functions done, functions total) after each block.
     """
     spec = ClassifierSpec(tuple(recipe))
     if spec.total_bits > EXHAUSTIVE_RANK_CAP:
         raise ValueError(
             f"rank {spec.total_bits} exceeds the exhaustive cap of "
             f"{EXHAUSTIVE_RANK_CAP}; use stratified_sample_profile instead")
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
     members = member_array(spec)
     length = spec.dim
     total = 1 << length
     profile = DistanceProfile.empty(recipe, "exhaustive", length)
-    for start in range(0, total, chunk):
-        values = np.arange(start, min(start + chunk, total), dtype=np.uint64)
+    for start in range(0, total, BLOCK):
+        stop = min(start + BLOCK, total)
+        values = np.arange(start, stop, dtype=np.uint64)
         profile.add_batch(*_batch_thetas(spec, members, values))
         if progress is not None:
-            progress(min(start + chunk, total), total)
+            progress(stop, total)
     return profile
 
 

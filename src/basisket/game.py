@@ -204,13 +204,13 @@ def _play_block(config: GameConfig, rng: np.random.Generator,
     and one verdict per round."""
     spec, _, members, rho = _game_context(config.recipe)
     values = _pick(rng, config.recipe, config.bob, config.bob_distance, size)
-    dist, dmin = member_distances(members, values)
-    nearest = dist == dmin[:, None]
+    dist, dmin = member_distances(members, values)  # dist[k, round]
+    nearest = dist == dmin
     # inverse-CDF draw: the single quantum measurement of each round.
-    # Counting cdf < u equals searchsorted(cdf, u) row by row, and the
-    # last cdf entry is exactly 1.0, so every outcome is a valid ket.
-    cdf = np.cumsum(ket_probabilities(dist, spec.dim), axis=1)
-    outcome = np.count_nonzero(cdf < rng.random(size)[:, None], axis=1)
+    # Counting cdf < u equals searchsorted(cdf, u) column by column, and
+    # the last cdf entry is exactly 1.0, so every outcome is a valid ket.
+    cdf = np.cumsum(ket_probabilities(dist, spec.dim), axis=0)
+    outcome = np.count_nonzero(cdf < rng.random(size), axis=0)
     if config.alice == "interval_threshold":
         alice_yes = alice_interval_decide(dmin, spec.total_bits, rho)
     else:
@@ -219,9 +219,9 @@ def _play_block(config: GameConfig, rng: np.random.Generator,
         values=values,
         distance=dmin,
         outcome=outcome,
-        in_nearest=nearest[np.arange(size), outcome],
+        in_nearest=nearest[outcome, np.arange(size)],
         alice_yes=alice_yes,
-        theta=nearest.sum(axis=1) * ket_probabilities(dmin, spec.dim),
+        theta=nearest.sum(axis=0) * ket_probabilities(dmin, spec.dim),
     )
 
 

@@ -14,6 +14,7 @@ from basisket import (
     classification_threshold,
     dense_unitary,
     distance_from_class,
+    hamming_distance,
     initial_amplitudes,
     outcome_distribution,
 )
@@ -233,12 +234,16 @@ class TestMemberDistances:
         rng = np.random.default_rng(zlib.crc32(str(recipe).encode()))
         values = rng.integers(0, 1 << spec.dim, size=(3, 5), dtype=np.uint64)
         dist, dmin = member_distances(members, values)
-        assert dist.shape == (3, 5, len(members)) and dmin.shape == (3, 5)
+        # member-major: dist[k, i, j] is value (i, j)'s distance to member k
+        assert dist.shape == (len(members), 3, 5) and dmin.shape == (3, 5)
         for index in np.ndindex(values.shape):
             h = PatternVector(int(values[index]), spec.dim)
             nearest = distance_from_class(basis, h)
+            column = dist[(slice(None), *index)]
+            assert column.tolist() == [
+                hamming_distance(h, m) for m in basis.members]
             assert dmin[index] == nearest.distance
-            assert set(np.flatnonzero(dist[index] == dmin[index])) == \
+            assert set(np.flatnonzero(column == dmin[index])) == \
                 nearest.indices
             assert classification_threshold(spec, h).nearest == nearest
         # a scalar value gives one row and a scalar minimum

@@ -8,6 +8,7 @@ from basisket import (
     ClassifierSpec,
     DistanceProfile,
     PatternVector,
+    classification_threshold,
     distance_from_class,
     exhaustive_profile,
     interval_summary,
@@ -16,7 +17,10 @@ from basisket import (
     profile_rho,
     stratified_sample_profile,
 )
+from basisket.classifier import member_array
 from basisket.experiment import (
+    BLOCK,
+    _batch_thetas,
     _popcount_sorted_words,
     _sample_attempts,
     _unrank_subsets,
@@ -64,20 +68,38 @@ class TestExhaustiveProfile:
         assert profile.min_theta(2) == 0.25
         assert profile.max_theta(2) == 1.0
 
-    def test_chunking_does_not_change_the_result(self):
-        a = exhaustive_profile(("H", "H", "H"))
-        b = exhaustive_profile(("H", "H", "H"), chunk=100)
-        assert np.array_equal(a.nearest, b.nearest)
-
-    @pytest.mark.parametrize("chunk", [0, -5])
-    def test_chunk_must_be_positive(self, chunk):
-        with pytest.raises(ValueError, match="chunk"):
-            exhaustive_profile(("H", "H"), chunk=chunk)
+    def test_batch_thetas_is_independent_of_blocking(self):
+        # the kernel walks its values BLOCK at a time; any split of a
+        # batch, on or off the block edges, must give the same rows
+        spec = ClassifierSpec(("C2", "C2", "C2"))
+        basis, members, length = spec.basis(), member_array(spec), spec.dim
+        rng = np.random.default_rng(8)
+        values = rng.integers(0, 1 << length, size=2 * BLOCK + 17,
+                              dtype=np.uint64)
+        dmin, sizes = _batch_thetas(spec, members, values)
+        assert dmin.dtype == sizes.dtype == np.int64
+        parts = [_batch_thetas(spec, members, part) for part in
+                 np.split(values, [1, BLOCK - 1, BLOCK + 1])]
+        assert np.array_equal(dmin, np.concatenate([p[0] for p in parts]))
+        assert np.array_equal(sizes, np.concatenate([p[1] for p in parts]))
+        for i in rng.choice(len(values), size=256, replace=False):
+            h = PatternVector(int(values[i]), length)
+            nearest = distance_from_class(basis, h)
+            d, k = int(dmin[i]), int(sizes[i])
+            assert (d, k) == (nearest.distance, len(nearest.indices))
+            assert classification_threshold(spec, h).theta == \
+                k * ((length - 2 * d) / length) ** 2
 
     def test_progress_callback(self):
         seen = []
         exhaustive_profile(("H", "H"), progress=lambda done, total: seen.append((done, total)))
         assert seen == [(16, 16)]
+        # a census reports once per BLOCK of values
+        seen.clear()
+        exhaustive_profile(("C2", "C2"), progress=lambda done, total: seen.append((done, total)))
+        total = 1 << 16
+        assert seen == [(min(start + BLOCK, total), total)
+                        for start in range(0, total, BLOCK)]
 
     def test_rank_cap(self):
         with pytest.raises(ValueError, match="exhaustive cap"):

@@ -8,10 +8,12 @@ float64 vectors.
 
 G is a distance oracle: every hot path takes member distances from the
 one popcount kernel ``member_distances`` and outcome probabilities from
-them with ``ket_probabilities``.  The kernel is member-major: members
-run along the first axis of its output, so the minimum over members and
-the count of nearest members are elementwise passes over whole rows of
-values.  The in-place butterflies
+them with ``ket_probabilities``.  A function of L bits is one word:
+uint32 for L <= 32, uint64 at L = 64 (``word_dtype``), so the shorter
+lengths move half the bytes through the kernel.  The kernel is
+member-major: members run along the first axis of its output, so the
+minimum over members and the count of nearest members are elementwise
+passes over whole rows of values.  The in-place butterflies
 (``apply_classifier``) and the Kronecker matrix (``dense_unitary``) are
 the two oracles that closed form is tested against.
 """
@@ -163,19 +165,29 @@ def dense_unitary(spec: ClassifierSpec) -> np.ndarray:
     return out
 
 
+def word_dtype(length: int) -> type[np.unsignedinteger]:
+    """The word that holds a function of `length` bits: uint32 up to 32
+    bits, uint64 above."""
+    return np.uint32 if length <= 32 else np.uint64
+
+
 @lru_cache(maxsize=None)
 def member_array(spec: ClassifierSpec) -> np.ndarray:
-    """Read-only uint64 member values, built once per spec (entry k is
-    the member measured as ket k)."""
-    members = np.array(spec.basis().member_values(), dtype=np.uint64)
+    """Read-only member values as uint32/uint64 words by length (see
+    word_dtype), built once per spec (entry k is the member measured as
+    ket k)."""
+    members = np.array(spec.basis().member_values(),
+                       dtype=word_dtype(spec.dim))
     members.setflags(write=False)
     return members
 
 
 def member_distances(members: np.ndarray,
                      values) -> tuple[np.ndarray, np.ndarray]:
-    """Hamming distances from uint64 values of any shape to every member
-    and their minimum, the class distance.
+    """Hamming distances from values of any shape to every member and
+    their minimum, the class distance.  The values are cast to the
+    members' word (uint32/uint64 by length, see member_array), so they
+    must fit in it.
 
     Member-major: ``dist`` has shape ``(M, *values.shape)``, so
     ``dist[k]`` holds every value's distance to member k, and
@@ -183,7 +195,7 @@ def member_distances(members: np.ndarray,
     elementwise passes over contiguous rows, which numpy vectorises,
     rather than one short inner loop of M per value along a last axis.
     """
-    values = np.asarray(values, np.uint64)
+    values = np.asarray(values, members.dtype)
     column = members.reshape(members.shape + (1,) * values.ndim)
     dist = np.bitwise_count(column ^ values)
     return dist, dist.min(axis=0)

@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from .classifier import ClassifierSpec, classification_threshold
 from .experiment import (
+    ATTEMPT_FACTOR,
     exhaustive_profile,
     interval_summary,
     probe_suite,
@@ -67,10 +68,13 @@ def _parse_quotas(items: list[str] | None, length: int,
     for item in items:
         d, _, count = item.partition("=")
         try:
-            quotas[int(d)] = int(count)
+            d, count = int(d), int(count)
         except ValueError:
             raise ValueError(f"--quota expects D=COUNT with integers D and "
                              f"COUNT, got {item!r}") from None
+        if d in quotas:
+            raise ValueError(f"--quota gives distance {d} twice")
+        quotas[d] = count
     return quotas
 
 
@@ -250,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, seed=True, output=True)
     p.add_argument("--quota", action="append", metavar="D=COUNT",
                    help="per-distance sample quota (repeatable)")
-    p.add_argument("--attempt-factor", type=int, default=50,
+    p.add_argument("--attempt-factor", type=int, default=ATTEMPT_FACTOR,
                    help="attempt cap per bucket, as a multiple of its quota")
     p.set_defaults(func=cmd_sample)
 

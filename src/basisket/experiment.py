@@ -27,6 +27,7 @@ from .classifier import (
     classification_threshold,
     member_array,
     member_distances,
+    word_dtype,
 )
 from .patterns import PatternBasis, PatternVector, class_rho
 
@@ -38,6 +39,9 @@ ATTEMPT_FACTOR = 50
 
 #: The flip sampler unranks a subset one chunk of this many bits at a time.
 WORD_BITS = 16
+
+#: A rank's composition is looked up in a guide of about 2**GUIDE_BITS cells.
+GUIDE_BITS = 12
 
 #: Function values per pass of the distance kernel (see _batch_thetas).
 BLOCK = 1 << 13
@@ -128,7 +132,8 @@ class DistanceProfile:
 def _batch_thetas(spec: ClassifierSpec, members: np.ndarray,
                   values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Class distance and nearest-set size |N| for a batch of function
-    values (uint64); theta = |N| * ket_probabilities(distance).
+    values (uint32/uint64 words by length, cast to the members' word);
+    theta = |N| * ket_probabilities(distance).
 
     The values go through the member-major kernel in fixed blocks of
     BLOCK, so its temporaries stay M x BLOCK whatever the batch size.
@@ -164,7 +169,7 @@ def exhaustive_profile(
     profile = DistanceProfile.empty(recipe, "exhaustive", length)
     for start in range(0, total, BLOCK):
         stop = min(start + BLOCK, total)
-        values = np.arange(start, stop, dtype=np.uint64)
+        values = np.arange(start, stop, dtype=members.dtype)
         profile.add_batch(*_batch_thetas(spec, members, values))
         if progress is not None:
             progress(stop, total)
@@ -181,16 +186,41 @@ def _popcount_sorted_words(width: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=None)
-def _compositions(length: int, d: int):
-    """The ways (k_0, ...) to spread d flips over the `length`-bit word's
-    chunks of WORD_BITS bits, each with its rank range.
+class _Compositions(NamedTuple):
+    """The ways (k_0, ...) to spread d flips over the chunks of a word,
+    with their rank ranges and a guide from rank to composition.
 
-    Returns (starts, radix, offsets): composition i owns the ranks
-    starts[i] .. starts[i] + prod(radix[i]) - 1, radix[i, j] = C(width, k_j)
-    is the number of chunk-j words, and offsets[i, j] is where those
-    words begin in the popcount-sorted word table.
+    Composition i owns the ranks starts[i] .. ends[i] - 1.  Per chunk j,
+    radix[j, i] = C(width, k_j) is the number of chunk-j words and
+    offsets[j, i] is where those words begin in the popcount-sorted word
+    table; one contiguous row per chunk, so each is gathered with take.
+    guide[c] is the composition of rank c << shift, the first rank of
+    guide cell c (indexed search, Chen & Asau, AIIE Trans. 6(2), 1974).
     """
+
+    starts: np.ndarray
+    ends: np.ndarray
+    radix: np.ndarray
+    offsets: np.ndarray
+    guide: np.ndarray
+    shift: int
+
+    def rows(self, ranks: np.ndarray) -> np.ndarray:
+        """The composition of each rank: its guide cell's whenever the
+        rank lies below that composition's end, else (a cell that spans
+        a composition boundary) by binary search."""
+        row = self.guide.take(ranks >> self.shift)
+        beyond = np.flatnonzero(ranks >= self.ends.take(row))
+        if beyond.size:
+            row[beyond] = np.searchsorted(self.starts, ranks.take(beyond),
+                                          side="right") - 1
+        return row
+
+
+@lru_cache(maxsize=None)
+def _compositions(length: int, d: int) -> _Compositions:
+    """The compositions of d flips over the `length`-bit word's chunks
+    of WORD_BITS bits (see _Compositions), cached per (length, d)."""
     width = min(length, WORD_BITS)
     chunks = length // width
     first = [0, *accumulate(comb(width, k) for k in range(width))]
@@ -205,48 +235,57 @@ def _compositions(length: int, d: int):
         offsets.append([first[k] for k in ks])
         total += prod(radix[-1])
     assert total == comb(length, d), (length, d, total)
-    tables = (np.array(starts, dtype=np.int64), np.array(radix, dtype=np.int64),
-              np.array(offsets, dtype=np.int64))
-    for table in tables:
+    starts = np.array(starts, dtype=np.int64)
+    shift = max(0, (total - 1).bit_length() - GUIDE_BITS)
+    cells = np.arange(((total - 1) >> shift) + 1, dtype=np.int64) << shift
+    compositions = _Compositions(
+        starts, np.append(starts[1:], total),
+        np.array(radix, dtype=np.int64).T.copy(),
+        np.array(offsets, dtype=np.int64).T.copy(),
+        np.searchsorted(starts, cells, side="right") - 1, shift)
+    for table in compositions[:-1]:
         table.flags.writeable = False  # cached: every caller shares it
-    return tables
+    return compositions
 
 
 def _unrank_subsets(ranks: np.ndarray, length: int, d: int) -> np.ndarray:
     """The d-subsets of `length` bit positions with the given ranks in
-    [0, C(length, d)), as uint64 masks; a bijection onto the masks of
+    [0, C(length, d)), as masks in the word of the length (uint32/uint64
+    by length, see classifier.word_dtype); a bijection onto the masks of
     popcount d.
 
     A rank picks its composition (flips per chunk) by interval; the rest
     of it is a mixed-radix number whose digit j indexes chunk j's word
     among the chunk words of that popcount.
     """
-    starts, radix, offsets = _compositions(length, d)
+    table = _compositions(length, d)
     words = _popcount_sorted_words(min(length, WORD_BITS))
-    row = np.searchsorted(starts, ranks, side="right") - 1
-    rest = ranks - starts[row]
-    masks = np.zeros(ranks.shape, dtype=np.uint64)
-    for j in range(radix.shape[1]):
-        if j < radix.shape[1] - 1:
-            rest, digit = np.divmod(rest, radix[row, j])
+    dtype = word_dtype(length)
+    row = table.rows(ranks)
+    rest = ranks - table.starts.take(row)
+    last = len(table.radix) - 1
+    masks = np.zeros(ranks.shape, dtype=dtype)
+    for j, (radix, offsets) in enumerate(zip(table.radix, table.offsets)):
+        if j < last:
+            rest, digit = np.divmod(rest, radix.take(row))
         else:
             digit = rest
-        word = words[offsets[row, j] + digit].astype(np.uint64)
-        masks |= word << np.uint64(j * WORD_BITS)
+        word = words.take(offsets.take(row) + digit).astype(dtype)
+        masks |= word << dtype(j * WORD_BITS)
     return masks
 
 
 def _sample_attempts(rng: np.random.Generator, members: np.ndarray,
                      length: int, d: int, count: int) -> np.ndarray:
     """Random functions at distance exactly d from a random member each
-    (true class distance may be smaller).
+    (true class distance may be smaller), in the members' word.
 
     Each attempt draws a uniform member, then a uniform rank in
     [0, C(length, d)) that `_unrank_subsets` maps to the d bits to flip.
     """
     picks = rng.integers(0, len(members), size=count)
     ranks = rng.integers(0, comb(length, d), size=count, dtype=np.int64)
-    return members[picks] ^ _unrank_subsets(ranks, length, d)
+    return members.take(picks) ^ _unrank_subsets(ranks, length, d)
 
 
 def stratified_sample_profile(

@@ -112,7 +112,8 @@ def _game_context(recipe: tuple[str, ...]):
 
 def _pick(rng: np.random.Generator, recipe: tuple[str, ...], strategy: str,
           distance: int | None, size: int) -> np.ndarray:
-    """Values of `size` functions outside the class, picked per strategy.
+    """Values of `size` functions outside the class, picked per strategy,
+    in the members' word (uint32/uint64 by length).
 
     at_distance makes flip attempts (`distance` random bits of a random
     member) for all pending picks in one sampler call, about ROUND_BLOCK
@@ -129,7 +130,9 @@ def _pick(rng: np.random.Generator, recipe: tuple[str, ...], strategy: str,
         strategy, distance = "at_distance", regions(length)[0][1]
 
     if strategy == "uniform_random":
-        values = rng.integers(0, 1 << length, size=size, dtype=np.uint64)
+        # drawn as uint64 whatever the word, so the stream stays the same
+        values = rng.integers(0, 1 << length, size=size,
+                              dtype=np.uint64).astype(members.dtype)
         while (redraw := np.flatnonzero(np.isin(values, members))).size:
             values[redraw] = rng.integers(0, 1 << length, size=redraw.size,
                                           dtype=np.uint64)
@@ -141,7 +144,7 @@ def _pick(rng: np.random.Generator, recipe: tuple[str, ...], strategy: str,
         raise ValueError("Bob must pick outside the class: distance >= 1")
     if distance > length:
         raise ValueError(f"distance {distance} exceeds function length {length}")
-    values = np.empty(size, dtype=np.uint64)
+    values = np.empty(size, dtype=members.dtype)
     pending = np.arange(size)
     attempted = 0
     while pending.size and attempted < PICK_ATTEMPT_CAP:
@@ -156,7 +159,7 @@ def _pick(rng: np.random.Generator, recipe: tuple[str, ...], strategy: str,
         attempted += per_pick
     if pending.size:
         probes = np.array([h.value for _, h in probe_functions(basis)],
-                          dtype=np.uint64)
+                          dtype=members.dtype)
         matching = probes[member_distances(members, probes)[1] == distance]
         if not matching.size:
             raise ValueError(
@@ -190,7 +193,7 @@ def bob_pick(
 class _Block:
     """Consecutive rounds of one game, one array entry per round."""
 
-    values: np.ndarray      # Bob's functions, uint64
+    values: np.ndarray      # Bob's functions, uint32/uint64 words by length
     distance: np.ndarray    # revealed minimum distance
     outcome: np.ndarray     # measured ket index
     in_nearest: np.ndarray

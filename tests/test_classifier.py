@@ -18,7 +18,9 @@ from basisket import (
     initial_amplitudes,
     outcome_distribution,
 )
-from basisket.classifier import member_array, member_distances
+from basisket.classifier import (ket_probabilities, member_array,
+                                 member_distances)
+from basisket.experiment import _batch_thetas
 
 PV = PatternVector.parse
 
@@ -249,3 +251,27 @@ class TestMemberDistances:
         # a scalar value gives one row and a scalar minimum
         dist, dmin = member_distances(members, int(values[0, 0]))
         assert dist.shape == (len(members),) and dmin.shape == ()
+
+    @pytest.mark.parametrize("recipe, dtype", [
+        (("H",), np.uint32), (("H", "C2"), np.uint32),
+        (("C2", "C2"), np.uint32), (("C2", "C2", "H"), np.uint32),
+        (("C2", "C2", "C2"), np.uint64)], ids=["2", "8", "16", "32", "64"])
+    def test_word_width_follows_the_length(self, recipe, dtype):
+        spec = ClassifierSpec(recipe)
+        members = member_array(spec)
+        assert members.dtype == dtype
+        # uint64 values go through the kernel and the block walk in the
+        # members' word, exactly as the scalar oracle and closed form say
+        rng = np.random.default_rng(zlib.crc32(str(recipe).encode()))
+        values = rng.integers(0, 1 << spec.dim, size=300, dtype=np.uint64)
+        values[:2] = 0, (1 << spec.dim) - 1
+        dist, dmin = member_distances(members, values)
+        dmin_blocks, sizes = _batch_thetas(spec, members, values)
+        thetas = sizes * ket_probabilities(dmin_blocks, spec.dim)
+        assert np.array_equal(dmin, dmin_blocks)
+        for value, d, size, theta in zip(values.tolist(), dmin.tolist(),
+                                         sizes.tolist(), thetas.tolist()):
+            nearest = distance_from_class(spec.basis(),
+                                          PatternVector(value, spec.dim))
+            assert (d, size) == (nearest.distance, len(nearest.indices))
+            assert theta == size * ((spec.dim - 2 * d) / spec.dim) ** 2

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from basisket.cli import SEED_ENV_VAR, cli_dispatch
+from basisket.cli import SEED_ENV_VAR, build_parser, cli_dispatch
+from basisket.experiment import ATTEMPT_FACTOR
 
 
 def run(capsys, *argv):
@@ -157,6 +158,20 @@ class TestSample:
         assert code == 1
         assert "--quota" in err and "D=COUNT" in err and repr(quota) in err
         assert out == "" and not target.exists()
+
+    def test_repeated_quota_distance_is_rejected(self, capsys, tmp_path):
+        target = tmp_path / "p.json"
+        code, out, err = run(capsys, "sample", "--recipe", "C2,C2,H",
+                             "--quota", "3=5", "--quota", "3=7",
+                             "--format", "json", "--out", str(target))
+        assert code == 1
+        assert err.rstrip().endswith("--quota gives distance 3 twice")
+        assert out == "" and not target.exists()
+
+    def test_attempt_factor_default_is_the_library_default(self):
+        args = build_parser().parse_args(
+            ["sample", "--recipe", "C2,C2,H"])
+        assert args.attempt_factor == ATTEMPT_FACTOR
 
     def test_svg_histogram_written(self, capsys, tmp_path):
         target = tmp_path / "prof.csv"

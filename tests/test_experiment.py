@@ -20,7 +20,9 @@ from basisket import (
 from basisket.classifier import member_array
 from basisket.experiment import (
     BLOCK,
+    GUIDE_BITS,
     _batch_thetas,
+    _compositions,
     _popcount_sorted_words,
     _sample_attempts,
     _unrank_subsets,
@@ -139,11 +141,32 @@ class TestSubsetDraw:
     def test_unranking_is_a_bijection_onto_popcount_d(self, length, d):
         masks = _unrank_subsets(
             np.arange(math.comb(length, d), dtype=np.int64), length, d)
-        assert masks.dtype == np.uint64
+        assert masks.dtype == (np.uint32 if length <= 32 else np.uint64)
         assert np.all(np.bitwise_count(masks) == d)
         assert np.unique(masks).size == math.comb(length, d)
         if length < 64:
             assert masks.max() < 1 << length
+
+    @pytest.mark.parametrize("length", [8, 16, 32, 64])
+    def test_guide_gives_the_searched_row_at_composition_edges(self, length):
+        # a composition's first rank, the rank before it and the last
+        # rank are where a guide cell one row off would show
+        for d in range(length + 1):
+            table = _compositions(length, d)
+            total = math.comb(length, d)
+            edges = np.unique(np.concatenate(
+                [table.starts - 1, table.starts, [total - 1]]))
+            edges = edges[edges >= 0]
+            assert np.array_equal(
+                table.rows(edges),
+                np.searchsorted(table.starts, edges, side="right") - 1)
+            # each cell names the composition of its first rank, and the
+            # cells cover every rank with at most 2**GUIDE_BITS of them
+            first = np.arange(table.guide.size, dtype=np.int64) << table.shift
+            assert np.all(table.starts[table.guide] <= first)
+            assert np.all(first < table.ends[table.guide])
+            assert first[-1] < total <= (table.guide.size << table.shift)
+            assert table.guide.size <= 1 << GUIDE_BITS
 
     def test_top_ranks_of_long_words(self):
         # the ranks near C(64, 32) ~ 1.8e18 stay exact in int64

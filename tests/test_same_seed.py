@@ -15,6 +15,10 @@ from basisket.cli import cli_dispatch
 SAMPLE_NEAREST_SHA256 = (
     "ef24e1ac1d95950d6ddb0d66b773ecc94398fbc856ee4ef6a216b00abf8bf1df")
 SAMPLE_SHORT_BUCKETS = (14, 15)
+#: recorded on ff7fde7: an L=64 draw over many composition rows
+LONG_SAMPLE_NEAREST_SHA256 = (
+    "264747ba1a77cdd65e3cbfd96fb003d4f93d1eaafc3983d4ae1512e751b75ef8")
+LONG_SAMPLE_SHORT_BUCKETS = (31,)
 GAME_STDOUT_SHA256 = (
     "9f08b7ad1a5adb27fdf70e84e7ca5ce57a5fd253e502395bb0d13f74ec9ec176")
 
@@ -30,6 +34,14 @@ def test_sampled_profile_bytes():
     assert sha256(profile.nearest.astype("<i8").tobytes()) == \
         SAMPLE_NEAREST_SHA256
     assert profile.short_buckets == SAMPLE_SHORT_BUCKETS
+
+
+def test_long_sampled_profile_bytes():
+    profile = stratified_sample_profile(
+        ("C2", "C2", "C2"), {2: 40, 16: 40, 31: 40}, seed=5)
+    assert sha256(profile.nearest.astype("<i8").tobytes()) == \
+        LONG_SAMPLE_NEAREST_SHA256
+    assert profile.short_buckets == LONG_SAMPLE_SHORT_BUCKETS
 
 
 def test_game_stdout_bytes(capsys):

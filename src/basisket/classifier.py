@@ -186,8 +186,8 @@ def member_distances(members: np.ndarray,
                      values) -> tuple[np.ndarray, np.ndarray]:
     """Hamming distances from values of any shape to every member and
     their minimum, the class distance.  The values are cast to the
-    members' word (uint32/uint64 by length, see member_array), so they
-    must fit in it.
+    members' word (uint32/uint64 by length, see member_array); a value
+    of a wider array that does not fit it raises ValueError.
 
     Member-major: ``dist`` has shape ``(M, *values.shape)``, so
     ``dist[k]`` holds every value's distance to member k, and
@@ -195,7 +195,11 @@ def member_distances(members: np.ndarray,
     elementwise passes over contiguous rows, which numpy vectorises,
     rather than one short inner loop of M per value along a last axis.
     """
-    values = np.asarray(values, members.dtype)
+    values, bits = np.asarray(values), 8 * members.itemsize
+    if values.dtype != members.dtype:
+        if values.itemsize > members.itemsize and (values >> bits).any():
+            raise ValueError(f"values do not fit the {bits}-bit word")
+        values = values.astype(members.dtype)
     column = members.reshape(members.shape + (1,) * values.ndim)
     dist = np.bitwise_count(column ^ values)
     return dist, dist.min(axis=0)

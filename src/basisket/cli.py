@@ -35,7 +35,8 @@ from .experiment import (
     profile_rho,
     stratified_sample_profile,
 )
-from .game import GameConfig, estimate_win_rate, play_rounds, tally
+from .game import (ALICE_STRATEGIES, BOB_STRATEGIES, GameConfig,
+                   estimate_win_rate, write_rounds)
 from .patterns import PatternVector, class_rho, validate_basis
 from . import reference
 from .report import (
@@ -50,6 +51,7 @@ from .report import (
 )
 
 SEED_ENV_VAR = "BASISKET_SEED"
+DEFAULT_QUOTA = 200  # per distance d < L/2, when sample gets no --quota
 
 
 def _seed(text: str, source: str = "") -> int:
@@ -60,10 +62,9 @@ def _seed(text: str, source: str = "") -> int:
             f"seed must be an integer, got {text!r}{source}") from None
 
 
-def _parse_quotas(items: list[str] | None, length: int,
-                  default: int = 200) -> dict[int, int]:
+def _parse_quotas(items: list[str] | None, length: int) -> dict[int, int]:
     if not items:
-        return {d: default for d in range(1, length // 2)}
+        return {d: DEFAULT_QUOTA for d in range(1, length // 2)}
     quotas: dict[int, int] = {}
     for item in items:
         d, _, count = item.partition("=")
@@ -175,7 +176,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    diffs = reference.check_table(args.which, args.attempt_factor)
+    diffs = reference.check_table(args.which)
     for diff in diffs:
         print(f"DIFF {diff}")
     if diffs:
@@ -183,15 +184,6 @@ def cmd_tables(args) -> int:
         return 2
     print(f"table {args.which}: all cells within tolerance")
     return 0
-
-
-def _written(records, fh):
-    """Pass round records through, writing each as one JSON line."""
-    for record in records:
-        row = {**vars(record), "function": str(record.function)}
-        del row["theta"]  # summarised as alice_exact_win_rate
-        fh.write(json.dumps(row) + "\n")
-        yield record
 
 
 def cmd_game(args) -> int:
@@ -202,7 +194,7 @@ def cmd_game(args) -> int:
         bob_distance=args.distance)
     if args.rounds_out:
         with open(args.rounds_out, "w", encoding="utf-8") as fh:
-            result = tally(_written(play_rounds(config), fh))
+            result = write_rounds(config, fh)
     else:
         result = estimate_win_rate(config)
     print(json.dumps({
@@ -224,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed=False, output=False):
+    def add_common(p, seed=False, output=False, hist=False):
         p.add_argument("--recipe", required=True,
                        help="comma-separated factors, e.g. H,C2,H")
         if seed:
@@ -233,6 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         if output:
             p.add_argument("--out", help="output file (default: stdout)")
             p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if hist:
             p.add_argument("--hist", choices=("ascii", "svg"),
                            help="also emit a histogram")
 
@@ -247,11 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("enumerate", help="exhaustive distance profile")
-    add_common(p, output=True)
+    add_common(p, output=True, hist=True)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("sample", help="stratified sampled profile + probes")
-    add_common(p, seed=True, output=True)
+    add_common(p, seed=True, output=True, hist=True)
     p.add_argument("--quota", action="append", metavar="D=COUNT",
                    help="per-distance sample quota (repeatable)")
     p.add_argument("--attempt-factor", type=int, default=ATTEMPT_FACTOR,
@@ -260,17 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="diff against published reference tables")
     p.add_argument("--which", type=int, required=True, choices=(3, 5, 7, 8))
-    p.add_argument("--attempt-factor", type=int,
-                   default=reference.TABLE_7_ATTEMPT_FACTOR,
-                   help="sampling attempt cap multiple (table 7 only)")
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("game", help="simulate the guessing game")
     add_common(p, seed=True)
-    p.add_argument("--bob", choices=("at_distance", "pivot", "uniform_random"),
-                   default="uniform_random")
-    p.add_argument("--alice",
-                   choices=("interval_threshold", "always_yes", "always_no"),
+    p.add_argument("--bob", choices=BOB_STRATEGIES, default="uniform_random")
+    p.add_argument("--alice", choices=ALICE_STRATEGIES,
                    default="interval_threshold")
     p.add_argument("--distance", type=int,
                    help="Bob's target distance (at_distance strategy)")

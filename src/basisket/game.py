@@ -28,10 +28,11 @@ Monte Carlo rate; it has the same expectation and no measurement noise.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -288,37 +289,41 @@ def wilson_interval(rate: float, trials: int) -> tuple[float, float]:
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
-def _win_rate(trials: int, wins: int, chances: float) -> WinRate:
+def estimate_win_rate(config: GameConfig) -> WinRate:
+    """Alice's win rate over all rounds of the config."""
+    return _tally(config.trials, _blocks(config))
+
+
+def write_rounds(config: GameConfig, fh: TextIO) -> WinRate:
+    """estimate_win_rate(config), writing each block's rounds to `fh` as
+    they are played: one JSON line per RoundRecord, without theta."""
+    length = _game_context(config.recipe)[0].dim
+
+    def logged() -> Iterator[_Block]:
+        for block in _blocks(config):
+            for record in _records(block, length):
+                row = {**vars(record), "function": str(record.function)}
+                del row["theta"]  # summarised as exact_rate
+                fh.write(json.dumps(row) + "\n")
+            yield block
+
+    return _tally(config.trials, logged())
+
+
+def _tally(trials: int, blocks: Iterable[_Block]) -> WinRate:
+    """Alice's win rate over the blocks' rounds, with binomial standard
+    error, 95% Wilson interval and the mean of her exact win chances.
+
+    Each win chance is a multiple of 1/L**2 in [0, 1] with L**2 <= 2**12,
+    so below 2**40 rounds every float sum is exact in any order, round
+    by round (as over a written log) or block by block."""
+    wins = 0
+    chances = 0.0
+    for block in blocks:
+        wins += int(np.count_nonzero(block.alice_yes == block.in_nearest))
+        chances += float(np.where(block.alice_yes, block.theta,
+                                  1.0 - block.theta).sum())
     rate = wins / trials
     se = float(np.sqrt(rate * (1.0 - rate) / trials))
     return WinRate(rate, se, trials, wins, chances / trials,
                    wilson_interval(rate, trials))
-
-
-def tally(records: Iterable[RoundRecord]) -> WinRate:
-    """Fraction of rounds won by Alice, with binomial standard error and
-    95% Wilson interval, and the mean of her exact win chances."""
-    trials = wins = 0
-    chances = 0.0
-    for record in records:
-        trials += 1
-        wins += record.alice_wins
-        chances += record.theta if record.alice_yes else 1.0 - record.theta
-    return _win_rate(trials, wins, chances)
-
-
-def estimate_win_rate(config: GameConfig) -> WinRate:
-    """Alice's win rate over all rounds of the config; equal to
-    tally(play_rounds(config)).
-
-    Each win chance is a multiple of 1/L**2 in [0, 1] with L**2 <= 2**12,
-    so below 2**40 rounds every float sum is exact in any order and the
-    two tallies agree to the bit.
-    """
-    wins = 0
-    chances = 0.0
-    for block in _blocks(config):
-        wins += int(np.count_nonzero(block.alice_yes == block.in_nearest))
-        chances += float(np.where(block.alice_yes, block.theta,
-                                  1.0 - block.theta).sum())
-    return _win_rate(config.trials, wins, chances)

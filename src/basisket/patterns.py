@@ -20,7 +20,7 @@ word.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Sequence
 
@@ -129,19 +129,21 @@ class PatternBasis:
 
     members: tuple[PatternVector, ...]
     recipe: tuple[str, ...]
-    rank: int = field(default=0)
 
     def __post_init__(self) -> None:
-        if self.rank == 0:
-            object.__setattr__(self, "rank", sum(_FACTOR_RANK[f] for f in self.recipe))
         if len(self.members) != 1 << self.rank:
             raise ValueError(
                 f"rank-{self.rank} basis needs {1 << self.rank} members, "
                 f"got {len(self.members)}")
         for m in self.members:
-            if m.length != 1 << self.rank:
+            if m.length != self.length:
                 raise ValueError(
                     f"member length {m.length} does not match rank {self.rank}")
+
+    @property
+    def rank(self) -> int:
+        """Sum of the recipe's factor ranks."""
+        return sum(_FACTOR_RANK[f] for f in self.recipe)
 
     @property
     def length(self) -> int:

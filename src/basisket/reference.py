@@ -95,21 +95,19 @@ def cell_tolerance(expected: float) -> float:
     return EXACT_TOL if expected in (0.0, 1.0) else CELL_TOL
 
 
-def check_table(which: int, attempt_factor: int = TABLE_7_ATTEMPT_FACTOR
-                ) -> list[CellDiff]:
-    """The cells of table `which` that are not strictly within tolerance.
-    `attempt_factor` caps table 7's sampler."""
-    return [CellDiff(which, *cell) for cell in _cells(which, attempt_factor)
+def check_table(which: int) -> list[CellDiff]:
+    """The cells of table `which` that are not strictly within tolerance."""
+    return [CellDiff(which, *cell) for cell in _cells(which)
             if not abs(cell[3] - cell[2]) < cell[4]]
 
 
-def _cells(which: int, attempt_factor: int):
+def _cells(which: int):
     """Yield (recipe, d, expected, actual, tolerance) per cell of a table."""
     if which == 7:
         name = ",".join(TABLE_7_RECIPE)
         profile = stratified_sample_profile(
             TABLE_7_RECIPE, {d: TABLE_7_QUOTA for d in range(1, 16)},
-            TABLE_7_SEED, attempt_factor=attempt_factor)
+            TABLE_7_SEED, attempt_factor=TABLE_7_ATTEMPT_FACTOR)
         for low, high, lo, hi in TABLE_7_REGIONS:
             for d in range(low, high + 1):
                 mean = profile.mean(d) if profile.counts[d] else math.nan

@@ -275,3 +275,19 @@ class TestMemberDistances:
                                           PatternVector(value, spec.dim))
             assert (d, size) == (nearest.distance, len(nearest.indices))
             assert theta == size * ((spec.dim - 2 * d) / spec.dim) ** 2
+
+    def test_values_wider_than_the_word_are_rejected_not_truncated(self):
+        # C2,C2,H member 3 with bit 40 set is no length-32 function; cast
+        # to uint32 it would read as member 3 itself, class distance 0
+        members = member_array(ClassifierSpec(("C2", "C2", "H")))
+        assert members.dtype == np.uint32
+        value = int(members[3]) | 1 << 40
+        for values in (np.array([value], dtype=np.uint64),
+                       np.array([[0], [value]], dtype=np.int64), value):
+            with pytest.raises(ValueError, match="32-bit word"):
+                member_distances(members, values)
+        # a wider array whose values fit is cast, not rejected
+        fits = np.array([int(members[3]), 0], dtype=np.uint64)
+        for got, want in zip(member_distances(members, fits),
+                             member_distances(members, fits.astype(np.uint32))):
+            assert np.array_equal(got, want)

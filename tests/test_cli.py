@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from basisket.classifier import ClassifierSpec, classification_threshold
 from basisket.cli import SEED_ENV_VAR, build_parser, cli_dispatch
 from basisket.experiment import ATTEMPT_FACTOR
+from basisket.game import ROUND_BLOCK
+from basisket.patterns import PatternVector
 
 
 def run(capsys, *argv):
@@ -53,6 +56,15 @@ class TestClassify:
                            "--function", "0001")
         assert code == 1
         assert "mismatch" in err
+
+    def test_hist_is_not_an_option(self, capsys):
+        # classify prints a distribution, not a profile: only enumerate
+        # and sample draw histograms
+        code, out, err = run(capsys, "classify", "--recipe", "C2,C2",
+                             "--function", "0000000100011110",
+                             "--hist", "ascii")
+        assert code == 1 and out == ""
+        assert "--hist" in err
 
 
 class TestEnumerate:
@@ -233,6 +245,13 @@ class TestTables:
         code, _, _ = run(capsys, "tables", "--which", "4")
         assert code == 1
 
+    def test_attempt_factor_is_not_an_option(self, capsys):
+        # table 7 always samples at reference.TABLE_7_ATTEMPT_FACTOR
+        code, out, err = run(capsys, "tables", "--which", "7",
+                             "--attempt-factor", "5")
+        assert code == 1 and out == ""
+        assert "--attempt-factor" in err
+
 
 class TestGame:
     def test_summary_json(self, capsys):
@@ -257,23 +276,35 @@ class TestGame:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "distance 3" in err
 
-    def test_rounds_out(self, capsys, tmp_path):
+    @pytest.mark.parametrize("trials", [1, ROUND_BLOCK - 1, ROUND_BLOCK,
+                                        ROUND_BLOCK + 1, 1500])
+    def test_rounds_out(self, capsys, tmp_path, trials):
+        # the log and the summary come from the same blocks: its wins and
+        # its rounds' exact win chances give the summary's rates to the bit
         target = tmp_path / "rounds.jsonl"
         code, out, _ = run(capsys, "game", "--recipe", "C2,C2",
-                           "--trials", "20", "--seed", "4",
+                           "--trials", str(trials), "--seed", "5",
                            "--rounds-out", str(target))
         assert code == 0
+        summary = json.loads(out)
         records = [json.loads(l) for l in target.read_text().splitlines()]
-        assert len(records) == 20
+        assert len(records) == trials
         wins = sum(r["alice_wins"] for r in records)
-        assert json.loads(out)["alice_win_rate"] == pytest.approx(wins / 20)
+        assert summary["alice_win_rate"] == wins / trials
+        spec = ClassifierSpec(("C2", "C2"))
+        chances = 0.0
+        for r in records:
+            theta = classification_threshold(
+                spec, PatternVector.parse(r["function"])).theta
+            chances += theta if r["alice_yes"] else 1.0 - theta
+        assert summary["alice_exact_win_rate"] == chances / trials
         assert all(len(r["function"]) == 16 for r in records)
         assert list(records[0]) == ["distance", "outcome", "in_nearest",
                                     "alice_yes", "alice_wins", "function"]
         # writing the rounds does not change the summary
         code, plain, _ = run(capsys, "game", "--recipe", "C2,C2",
-                             "--trials", "20", "--seed", "4")
-        assert code == 0 and json.loads(plain) == json.loads(out)
+                             "--trials", str(trials), "--seed", "5")
+        assert code == 0 and json.loads(plain) == summary
 
     def test_rounds_out_into_missing_directory_is_an_error(self, capsys,
                                                            tmp_path):

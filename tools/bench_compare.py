@@ -5,8 +5,8 @@
 Run from anywhere inside the repository.  Unpacks REV with
 ``git archive REV | tar -x`` into a temporary directory, then runs
 ``perfbench/run.py`` on that tree and on the working tree for every
-workload and for seeds 1 to 10, each run as long as BENCHMARK.json's
-run_seconds, alternating which side runs first.  The record keeps, per
+workload of BENCHMARK.json and for seeds 1 to 10, each run as long as
+its run_seconds, alternating which side runs first.  The record keeps, per
 workload and end-to-end metric of BENCHMARK.json, every run's value, the
 best of the runs (the minimum of a lower-is-better metric, the maximum of
 a higher-is-better one), the median and quartiles before and after, and
@@ -28,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("census", "sampled32", "game")
 SEEDS = range(1, 11)
 
 
@@ -100,6 +99,7 @@ def main() -> int:
     args = parser.parse_args()
     specs = bench_spec["end_to_end"]
     seconds = bench_spec["run_seconds"]
+    workloads = [w["name"] for w in bench_spec["workloads"]]
 
     record = {
         "before": {"rev": args.base, "sha": git("rev-parse", args.base)},
@@ -114,7 +114,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         base = Path(tmp)
         unpack(args.base, base)
-        for workload in WORKLOADS:
+        for workload in workloads:
             runs = {"before": [], "after": []}
             for i, seed in enumerate(SEEDS):
                 sides = [("before", base), ("after", ROOT)]

@@ -137,6 +137,8 @@ def _batch_thetas(spec: ClassifierSpec, members: np.ndarray,
 
     The values go through the member-major kernel in fixed blocks of
     BLOCK, so its temporaries stay M x BLOCK whatever the batch size.
+    Both profile builders pass at most BLOCK values per call, so this
+    loop runs once for them and its outputs are BLOCK long.
     |N| is summed in uint8: at most 64 members.
     """
     dmin = np.empty(len(values), dtype=np.int64)
@@ -282,10 +284,17 @@ def _sample_attempts(rng: np.random.Generator, members: np.ndarray,
 
     Each attempt draws a uniform member, then a uniform rank in
     [0, C(length, d)) that `_unrank_subsets` maps to the d bits to flip.
+    Both draws cover the whole batch; the ranks are then unranked and
+    flipped into the picked members BLOCK at a time, so the unranker's
+    int64 temporaries stay BLOCK long whatever `count` is.
     """
     picks = rng.integers(0, len(members), size=count)
     ranks = rng.integers(0, comb(length, d), size=count, dtype=np.int64)
-    return members.take(picks) ^ _unrank_subsets(ranks, length, d)
+    values = members.take(picks)
+    for start in range(0, count, BLOCK):
+        block = slice(start, start + BLOCK)
+        values[block] ^= _unrank_subsets(ranks[block], length, d)
+    return values
 
 
 def stratified_sample_profile(
@@ -301,7 +310,10 @@ def stratified_sample_profile(
     and credits the sample to its true bucket.  The subset is one
     uniform rank in [0, C(L, d)), unranked into its flip mask (see
     `_unrank_subsets`), so an attempt costs two bounded integer draws
-    whatever d is.  A bucket that stays
+    whatever d is.  Batches double from 64 up to 2**17 attempts; each
+    is drawn whole, then classified and counted into the profile BLOCK
+    attempts at a time, so no batch-sized distance, |N| or bincount key
+    array is made.  A bucket that stays
     short of quota after attempt_factor * quota attempts is flagged in
     `short_buckets` rather than failing the run.  Deterministic given
     the seed: the same seed gives the same profile, byte for byte, within
@@ -338,7 +350,9 @@ def stratified_sample_profile(
         while profile.counts[d] < quota and attempts < cap:
             batch = min(batch, cap - attempts)
             values = _sample_attempts(rng, members, length, d, batch)
-            profile.add_batch(*_batch_thetas(spec, members, values))
+            for start in range(0, batch, BLOCK):
+                profile.add_batch(
+                    *_batch_thetas(spec, members, values[start:start + BLOCK]))
             attempts += batch
             batch = min(batch * 2, 1 << 17)
         if profile.counts[d] < quota:

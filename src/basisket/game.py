@@ -14,11 +14,11 @@ game approaches a fair coin toss.
 
 Rounds are played in blocks of up to ROUND_BLOCK.  Bob picks every
 function of a block at once; one popcount matrix then gives each round's
-distances, nearest set and outcome probabilities
-(``classifier.ket_probabilities``), and one uniform draw per round picks
-the measured ket by inverse CDF.  Block b of a game draws only from
-``SeedSequence(seed).spawn(n_blocks)[b]``, so it replays, here or on
-another machine, from (seed, b).
+distances and nearest set, and one uniform draw per round picks the
+measured ket by inverse CDF over the integer outcome weights (L - 2d)**2,
+the probabilities of ``classifier.ket_probabilities`` times L**2.  Block
+b of a game draws only from ``SeedSequence(seed).spawn(n_blocks)[b]``,
+so it replays, here or on another machine, from (seed, b).
 
 Given h, Alice wins with probability exactly theta(h) if she says yes
 and 1 - theta(h) if not.  The mean of that over the rounds is the
@@ -211,10 +211,16 @@ def _play_block(config: GameConfig, rng: np.random.Generator,
     dist, dmin = member_distances(members, values)  # dist[k, round]
     nearest = dist == dmin
     # inverse-CDF draw: the single quantum measurement of each round.
-    # Counting cdf < u equals searchsorted(cdf, u) column by column, and
-    # the last cdf entry is exactly 1.0, so every outcome is a valid ket.
-    cdf = np.cumsum(ket_probabilities(dist, spec.dim), axis=0)
-    outcome = np.count_nonzero(cdf < rng.random(size), axis=0)
+    # The weights (L - 2d)**2 are the outcome probabilities times L**2
+    # and sum to L**2 <= 4096, so their running sum is exact in int16.
+    # L**2 is a power of two, so a probability cdf < u exactly when its
+    # integer cdf < ceil(u * L**2); counting those equals
+    # searchsorted(cdf, u) column by column.  The last integer cdf entry
+    # is L**2 and u < 1, so every outcome is a valid ket.
+    weights = spec.dim - 2 * dist.astype(np.int16)
+    cdf = np.cumsum(weights * weights, axis=0, dtype=np.int16)
+    threshold = np.ceil(rng.random(size) * spec.dim ** 2).astype(np.int16)
+    outcome = np.count_nonzero(cdf < threshold, axis=0)
     if config.alice == "interval_threshold":
         alice_yes = alice_interval_decide(dmin, spec.total_bits, rho)
     else:

@@ -16,9 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .classifier import ClassifierSpec, classification_threshold
 from .experiment import (exhaustive_profile, probe_suite, profile_rho,
                          stratified_sample_profile)
-from .patterns import rho_recurrence
+from .patterns import PatternVector, rho_recurrence
 
 #: Comparison tolerance for two-decimal reference cells.
 CELL_TOL = 0.005
@@ -119,7 +120,9 @@ def _cells(which: int):
     elif which == 8:
         for recipe, rho in TABLE_8_RHO.items():
             name = ",".join(recipe)
-            all_ones = dict(probe_suite(recipe))["all_ones"]
+            spec = ClassifierSpec(recipe)
+            all_ones = classification_threshold(
+                spec, PatternVector((1 << spec.dim) - 1, spec.dim))
             yield name, 0, rho, profile_rho(recipe), EXACT_TOL
             yield name, 0, rho, rho_recurrence(len(recipe)), EXACT_TOL
             yield name, rho, rho, all_ones.nearest.distance, EXACT_TOL

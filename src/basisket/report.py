@@ -105,14 +105,21 @@ def profile_from_json(text: str) -> DistanceProfile:
         seed=doc["seed"],
         quotas={int(k): v for k, v in doc["quotas"].items()})
     length = profile.length
+    seen = set()
     for row in doc["rows"]:
         d = row["distance"]
         if not 0 <= d <= length:
             raise ValueError(f"row distance {d} outside 0..{length}")
+        if d in seen:
+            raise ValueError(f"row at distance {d} appears twice")
+        seen.add(d)
         for k, n in row.get("nearest", {}).items():
             if not 1 <= int(k) <= length:
                 raise ValueError(f"row at distance {d}: nearest-set size "
                                  f"{k} outside 1..{length}")
+            if type(n) is not int or n < 0:
+                raise ValueError(f"row at distance {d}: nearest-set size "
+                                 f"{k} has count {n!r}, not a count >= 0")
             profile.nearest[d, int(k)] = n
         if profile.counts[d] != row["count"]:
             raise ValueError(

@@ -184,6 +184,23 @@ class TestSubsetDraw:
             values = _sample_attempts(rng, members, length, d, 300)
             assert np.all(np.bitwise_count(values) == d)
 
+    @pytest.mark.parametrize("recipe,d", [(("C2", "C2", "H"), 15),
+                                          (("C2", "C2", "C2"), 30)])
+    def test_blocked_flips_equal_the_whole_batch(self, recipe, d):
+        # three blocks, the last one partial, against one unranking of
+        # the same two draws made by a twin generator
+        members = member_array(ClassifierSpec(recipe))
+        length, count = ClassifierSpec(recipe).dim, 2 * BLOCK + 17
+        twin = np.random.default_rng(11)
+        picks = twin.integers(0, len(members), size=count)
+        ranks = twin.integers(0, math.comb(length, d), size=count,
+                              dtype=np.int64)
+        values = _sample_attempts(np.random.default_rng(11), members,
+                                  length, d, count)
+        assert values.dtype == members.dtype
+        assert np.array_equal(
+            values, members.take(picks) ^ _unrank_subsets(ranks, length, d))
+
     def test_word_table_is_small(self):
         table = _popcount_sorted_words(16)
         assert table.dtype == np.uint16 and table.nbytes == 1 << 17

@@ -84,6 +84,31 @@ class TestJson:
         with pytest.raises(ValueError, match="nearest-set size"):
             profile_from_json(json.dumps(doc))
 
+    def test_negative_nearest_count_rejected(self, profile):
+        # the row still sums to its count
+        doc = json.loads(profile_to_json(profile))
+        row = doc["rows"][1]
+        row["nearest"] = {"1": row["count"] + 6, "2": -6}
+        with pytest.raises(ValueError, match=f"distance {row['distance']}: "
+                                             "nearest-set size 2 has count -6"):
+            profile_from_json(json.dumps(doc))
+
+    def test_fractional_nearest_count_rejected(self, profile):
+        # int64 storage would truncate it to the row's count
+        doc = json.loads(profile_to_json(profile))
+        row = doc["rows"][1]
+        row["nearest"] = {"1": row["count"] + 0.7}
+        with pytest.raises(ValueError, match=f"distance {row['distance']}: "
+                                             "nearest-set size 1 has count"):
+            profile_from_json(json.dumps(doc))
+
+    def test_repeated_distance_row_rejected(self, profile):
+        doc = json.loads(profile_to_json(profile))
+        doc["rows"].append(dict(doc["rows"][1]))
+        with pytest.raises(ValueError, match=f"distance "
+                           f"{doc['rows'][1]['distance']} appears twice"):
+            profile_from_json(json.dumps(doc))
+
     @pytest.mark.parametrize("distance", [-1, 9])
     def test_row_distance_out_of_range_rejected(self, profile, distance):
         doc = json.loads(profile_to_json(profile))

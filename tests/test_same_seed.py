@@ -9,6 +9,8 @@ with the reason, in CHANGES.md.
 
 import hashlib
 
+import pytest
+
 from basisket import stratified_sample_profile
 from basisket.cli import cli_dispatch
 
@@ -19,8 +21,25 @@ SAMPLE_SHORT_BUCKETS = (14, 15)
 LONG_SAMPLE_NEAREST_SHA256 = (
     "264747ba1a77cdd65e3cbfd96fb003d4f93d1eaafc3983d4ae1512e751b75ef8")
 LONG_SAMPLE_SHORT_BUCKETS = (31,)
+#: recorded on 39504ca: batches of several BLOCKs, the largest
+#: 32,768 rows at L=32 and 16,384 rows at L=64
+MULTI_BLOCK_SAMPLES = {
+    "L32": ((("C2", "C2", "H"), {14: 20, 15: 5}, 3, 100_000),
+            "a23fb32420b7962587aea8709ec1617d1686891f5311ed12b22adaf2a3414527",
+            ()),
+    "L64": ((("C2", "C2", "C2"), {8: 5, 30: 2}, 4, 20_000),
+            "7a7cade69c32182f67e618bcb013bb887aba0790e7a3f0927ffa11646b97e84d",
+            (30,)),
+}
 GAME_STDOUT_SHA256 = (
     "9f08b7ad1a5adb27fdf70e84e7ca5ce57a5fd253e502395bb0d13f74ec9ec176")
+#: recorded on 39504ca: the per-round log, outcome column included
+ROUNDS_OUT_SHA256 = {
+    ("C2,C2", "uniform_random"):
+        "99ba359345ce5c64e3220b0cea38973b4b093f85dccf93cbd18e6a1a9ad79113",
+    ("C2,C2,C2", "pivot"):
+        "ffae2fb2408ad2ce8d898ed0155d962023da63b797272cb00afe587d5780d95a",
+}
 
 
 def sha256(data: bytes) -> str:
@@ -42,6 +61,25 @@ def test_long_sampled_profile_bytes():
     assert sha256(profile.nearest.astype("<i8").tobytes()) == \
         LONG_SAMPLE_NEAREST_SHA256
     assert profile.short_buckets == LONG_SAMPLE_SHORT_BUCKETS
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_BLOCK_SAMPLES))
+def test_multi_block_sampled_profile_bytes(case):
+    (recipe, quotas, seed, factor), digest, short = MULTI_BLOCK_SAMPLES[case]
+    profile = stratified_sample_profile(recipe, quotas, seed=seed,
+                                        attempt_factor=factor)
+    assert sha256(profile.nearest.astype("<i8").tobytes()) == digest
+    assert profile.short_buckets == short
+
+
+@pytest.mark.parametrize("recipe,bob", sorted(ROUNDS_OUT_SHA256))
+def test_game_rounds_out_bytes(capsys, tmp_path, recipe, bob):
+    target = tmp_path / "rounds.jsonl"
+    code = cli_dispatch(["game", "--recipe", recipe, "--bob", bob,
+                         "--seed", "6", "--trials", "1500",
+                         "--rounds-out", str(target)])
+    assert code == 0
+    assert sha256(target.read_bytes()) == ROUNDS_OUT_SHA256[recipe, bob]
 
 
 def test_game_stdout_bytes(capsys):

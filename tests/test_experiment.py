@@ -189,8 +189,8 @@ class TestSubsetDraw:
     def test_blocked_flips_equal_the_whole_batch(self, recipe, d):
         # three blocks, the last one partial, against one unranking of
         # the same two draws made by a twin generator
-        members = member_array(ClassifierSpec(recipe))
-        length, count = ClassifierSpec(recipe).dim, 2 * BLOCK + 17
+        spec = ClassifierSpec(recipe)
+        members, length, count = member_array(spec), spec.dim, 2 * BLOCK + 17
         twin = np.random.default_rng(11)
         picks = twin.integers(0, len(members), size=count)
         ranks = twin.integers(0, math.comb(length, d), size=count,

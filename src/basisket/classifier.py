@@ -9,13 +9,23 @@ float64 vectors.
 G is a distance oracle: every hot path takes member distances from the
 one popcount kernel ``member_distances`` and outcome probabilities from
 them with ``ket_probabilities``.  A function of L bits is one word:
-uint32 for L <= 32, uint64 at L = 64 (``word_dtype``), so the shorter
-lengths move half the bytes through the kernel.  The kernel is
+uint32 for L <= 32, uint64 at L = 64 (``word_dtype``).  The kernel is
 member-major: members run along the first axis of its output, so the
 minimum over members and the count of nearest members are elementwise
-passes over whole rows of values.  The in-place butterflies
-(``apply_classifier``) and the Kronecker matrix (``dense_unitary``) are
-the two oracles that closed form is tested against.
+passes over whole rows of values.
+
+Up to L = 32 the kernel counts bits on uint8 byte planes, one contiguous
+row per byte of the values, and only over the bytes that the members and
+values use: one plane at L = 8, two at L = 16, four at L = 32.  numpy's
+``bitwise_count`` is vectorised for uint8 only: on a Xeon with AVX-512
+(numpy 2.4.6) 262,144 elements take about 26 us as uint8, 124 us as
+uint32 and 153 us as uint64.  At L = 64 the eight planes measured slower
+than the uint64 word popcount (0.93 against 0.61 ms per 8192 C2,C2,C2
+values), so values that need more than four bytes keep the word path.
+
+The in-place butterflies (``apply_classifier``) and the Kronecker matrix
+(``dense_unitary``) are the two oracles that closed form is tested
+against.
 """
 
 from __future__ import annotations
@@ -76,8 +86,11 @@ class ClassifierSpec:
     def dim(self) -> int:
         return 1 << self.total_bits
 
+    @lru_cache(maxsize=None)
     def basis(self) -> PatternBasis:
-        """The pattern basis this classifier classifies perfectly."""
+        """The pattern basis this classifier classifies perfectly, built
+        once per factor tuple (equal specs share it, as in member_array);
+        the basis is frozen, so sharing it is safe."""
         return build_basis_from_recipe([FACTOR_TO_BASIS[f] for f in self.factors])
 
     def __str__(self) -> str:
@@ -185,24 +198,64 @@ def member_array(spec: ClassifierSpec) -> np.ndarray:
 def member_distances(members: np.ndarray,
                      values) -> tuple[np.ndarray, np.ndarray]:
     """Hamming distances from values of any shape to every member and
-    their minimum, the class distance.  The values are cast to the
-    members' word (uint32/uint64 by length, see member_array); a value
-    of a wider array that does not fit it raises ValueError.
+    their minimum, the class distance, both uint8.  The values are cast
+    to the members' word (uint32/uint64 by length, see member_array); a
+    value of a wider array that does not fit it raises ValueError.
 
     Member-major: ``dist`` has shape ``(M, *values.shape)``, so
     ``dist[k]`` holds every value's distance to member k, and
     ``dmin = dist.min(axis=0)``.  A reduction over the members is then M
     elementwise passes over contiguous rows, which numpy vectorises,
     rather than one short inner loop of M per value along a last axis.
+
+    The highest set bit of the members and values sets how many bytes
+    hold them.  Up to four bytes the bits are counted on uint8 byte
+    planes (see _plane_distances), because numpy vectorises
+    ``bitwise_count`` only for uint8; above four, that is at L = 64, the
+    uint64 word popcount is faster than eight planes and is kept.
     """
     values, bits = np.asarray(values), 8 * members.itemsize
     if values.dtype != members.dtype:
         if values.itemsize > members.itemsize and (values >> bits).any():
             raise ValueError(f"values do not fit the {bits}-bit word")
         values = values.astype(members.dtype)
-    column = members.reshape(members.shape + (1,) * values.ndim)
-    dist = np.bitwise_count(column ^ values)
+    # the highest set bit of members | values is that of their maximum
+    top = int(np.maximum.reduce(values, axis=None, initial=members.max()))
+    planes = max(1, (top.bit_length() + 7) // 8)
+    if planes > 4:
+        column = members.reshape(members.shape + (1,) * values.ndim)
+        dist = np.bitwise_count(column ^ values)
+    else:
+        dist = _plane_distances(members, values.reshape(-1), planes).reshape(
+            members.shape + values.shape)
     return dist, dist.min(axis=0)
+
+
+def _plane_distances(members: np.ndarray, values: np.ndarray,
+                     planes: int) -> np.ndarray:
+    """uint8 (M, n) Hamming distances of the flat `values` to the
+    members, counted over their low `planes` bytes.
+
+    Byte j of every value is one contiguous uint8 row.  One (planes, M,
+    n) buffer takes every row XOR every member's byte j and is
+    popcounted in place; the planes are then added into plane 0, which
+    is returned.  The one buffer is deliberate: a distance array plus a
+    separate per-plane buffer, each M x n, let the C library return the
+    freed heap top to the system and fault it back in on most calls
+    (about 650 minor faults per census pass against 77 with one buffer).
+    """
+    little = members.dtype.newbyteorder("<")  # byte j holds bits 8j..8j+7
+    rows = np.ascontiguousarray(
+        np.ascontiguousarray(values, dtype=little).view(np.uint8)
+        .reshape(len(values), little.itemsize)[:, :planes].T)
+    member_bytes = (members.astype(little, copy=False).view(np.uint8)
+                    .reshape(len(members), little.itemsize)[:, :planes].T)
+    counts = np.bitwise_xor(member_bytes[:, :, None], rows[:, None, :])
+    np.bitwise_count(counts, out=counts)
+    dist = counts[0]
+    for plane in counts[1:]:
+        dist += plane
+    return dist
 
 
 def ket_probabilities(distances, length: int) -> np.ndarray:

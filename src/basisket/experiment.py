@@ -43,7 +43,7 @@ WORD_BITS = 16
 #: A rank's composition is looked up in a guide of about 2**GUIDE_BITS cells.
 GUIDE_BITS = 12
 
-#: Function values per pass of the distance kernel (see _batch_thetas).
+#: Function values per call of the distance kernel (see _batch_thetas).
 BLOCK = 1 << 13
 
 
@@ -135,20 +135,15 @@ def _batch_thetas(spec: ClassifierSpec, members: np.ndarray,
     values (uint32/uint64 words by length, cast to the members' word);
     theta = |N| * ket_probabilities(distance).
 
-    The values go through the member-major kernel in fixed blocks of
-    BLOCK, so its temporaries stay M x BLOCK whatever the batch size.
-    Both profile builders pass at most BLOCK values per call, so this
-    loop runs once for them and its outputs are BLOCK long.
-    |N| is summed in uint8: at most 64 members.
+    Both profile builders pass at most BLOCK values per call, so the
+    kernel's temporaries stay M x BLOCK.  The nearest members are marked
+    in place on the kernel's uint8 distance array and |N| is summed in
+    uint8: at most 64 members.
     """
-    dmin = np.empty(len(values), dtype=np.int64)
-    sizes = np.empty(len(values), dtype=np.int64)
-    for start in range(0, len(values), BLOCK):
-        block = slice(start, start + BLOCK)
-        dist, d = member_distances(members, values[block])
-        dmin[block] = d
-        sizes[block] = (dist == d).sum(axis=0, dtype=np.uint8)
-    return dmin, sizes
+    dist, dmin = member_distances(members, values)
+    nearest = np.equal(dist, dmin, out=dist)
+    return (dmin.astype(np.int64),
+            nearest.sum(axis=0, dtype=np.uint8).astype(np.int64))
 
 
 def exhaustive_profile(

@@ -106,21 +106,28 @@ def profile_from_json(text: str) -> DistanceProfile:
         quotas={int(k): v for k, v in doc["quotas"].items()})
     length = profile.length
     seen = set()
-    for row in doc["rows"]:
+    for i, row in enumerate(doc["rows"]):
         d = row["distance"]
-        if not 0 <= d <= length:
-            raise ValueError(f"row distance {d} outside 0..{length}")
+        if type(d) is not int or not 0 <= d <= length:
+            raise ValueError(
+                f"row {i}: distance {d!r} is not an integer in 0..{length}")
         if d in seen:
             raise ValueError(f"row at distance {d} appears twice")
         seen.add(d)
+        sizes = set()
         for k, n in row.get("nearest", {}).items():
-            if not 1 <= int(k) <= length:
+            size = int(k)
+            if not 1 <= size <= length:
                 raise ValueError(f"row at distance {d}: nearest-set size "
                                  f"{k} outside 1..{length}")
+            if size in sizes:
+                raise ValueError(f"row at distance {d}: nearest-set size "
+                                 f"{size} appears twice (key {k!r})")
+            sizes.add(size)
             if type(n) is not int or n < 0:
                 raise ValueError(f"row at distance {d}: nearest-set size "
                                  f"{k} has count {n!r}, not a count >= 0")
-            profile.nearest[d, int(k)] = n
+            profile.nearest[d, size] = n
         if profile.counts[d] != row["count"]:
             raise ValueError(
                 f"row at distance {d}: nearest counts sum to "

@@ -1,9 +1,10 @@
 import random
 import zlib
-from math import sqrt
+from math import prod, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from basisket import (
     ClassifierSpec,
@@ -48,6 +49,9 @@ class TestSpec:
 
     def test_basis_pairing(self):
         assert ClassifierSpec.parse("H,C2").basis().recipe == ("B1", "Q2")
+        # built once per factor tuple, like member_array
+        assert ClassifierSpec(("H", "C2")).basis() is \
+            ClassifierSpec.parse("H,C2").basis()
 
     def test_unknown_factor(self):
         with pytest.raises(ValueError, match="unknown classifier factor"):
@@ -291,3 +295,50 @@ class TestMemberDistances:
         for got, want in zip(member_distances(members, fits),
                              member_distances(members, fits.astype(np.uint32))):
             assert np.array_equal(got, want)
+
+
+#: One recipe per length: L = 2, 4, 8, 16 and 32 take the byte planes
+#: (one, one, one, two and four of them), L = 64 the uint64 word.
+KERNEL_RECIPES = [("H",), ("C2",), ("H", "C2"), ("C2", "C2"),
+                  ("C2", "C2", "H"), ("C2", "C2", "C2")]
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Members of one recipe and values of shape (), (n,) or (n, k),
+    as the members' word or as uint64: all zeros, all ones, or values of
+    1 to 8 bytes, so that some need fewer bytes than their word and
+    some do not fit a uint32 word at all."""
+    members = member_array(ClassifierSpec(draw(st.sampled_from(
+        KERNEL_RECIPES))))
+    dtype = draw(st.sampled_from([members.dtype, np.dtype(np.uint64)]))
+    n, k = draw(st.integers(0, 5)), draw(st.integers(1, 4))
+    shape = draw(st.sampled_from([(), (n,), (n, k)]))
+    ones = (1 << len(members)) - 1  # a function of L bits, L = M
+    fill = draw(st.sampled_from([None, 0, ones]))
+    if fill is None:
+        value = st.integers(1, dtype.itemsize).flatmap(
+            lambda nbytes: st.integers(0, (1 << 8 * nbytes) - 1))
+        ints = draw(st.lists(value, min_size=prod(shape),
+                             max_size=prod(shape)))
+    else:
+        ints = [fill] * prod(shape)
+    return members, ints, np.array(ints, dtype=dtype).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(kernel_inputs())
+def test_member_distances_match_int_bit_count(case):
+    members, ints, values = case
+    bits = 8 * members.itemsize
+    if any(v >> bits for v in ints):
+        with pytest.raises(ValueError, match=f"{bits}-bit word"):
+            member_distances(members, values)
+        return
+    dist, dmin = member_distances(members, values)
+    want = [[(v ^ m).bit_count() for v in ints] for m in members.tolist()]
+    assert dist.dtype == dmin.dtype == np.uint8
+    assert dist.shape == members.shape + values.shape
+    assert dmin.shape == values.shape
+    assert dist.reshape(len(members), -1).tolist() == want
+    assert dmin.reshape(-1).tolist() == [min(col) for col in zip(*want)]

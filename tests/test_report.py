@@ -109,11 +109,21 @@ class TestJson:
                            f"{doc['rows'][1]['distance']} appears twice"):
             profile_from_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("distance", [-1, 9])
+    @pytest.mark.parametrize("distance", [-1, 9, 1.5])
     def test_row_distance_out_of_range_rejected(self, profile, distance):
+        # a fractional distance used to reach numpy indexing (IndexError)
         doc = json.loads(profile_to_json(profile))
         doc["rows"][0]["distance"] = distance
-        with pytest.raises(ValueError, match="distance"):
+        with pytest.raises(ValueError, match=f"row 0: distance {distance} "):
+            profile_from_json(json.dumps(doc))
+
+    def test_repeated_nearest_size_rejected(self, profile):
+        # "1" and "01" name one size; the second used to overwrite the first
+        doc = json.loads(profile_to_json(profile))
+        row = doc["rows"][1]
+        row["nearest"] = {"1": row["count"], "01": row["count"]}
+        with pytest.raises(ValueError, match=f"distance {row['distance']}: "
+                                             "nearest-set size 1 appears twice"):
             profile_from_json(json.dumps(doc))
 
     def test_document_shape(self, profile):

@@ -16,12 +16,12 @@ passes over whole rows of values.
 
 Up to L = 32 the kernel counts bits on uint8 byte planes, one contiguous
 row per byte of the values, and only over the bytes that the members and
-values use: one plane at L = 8, two at L = 16, four at L = 32.  numpy's
+values use: one plane at L <= 8, two at L = 16, four at L = 32.  numpy's
 ``bitwise_count`` is vectorised for uint8 only: on a Xeon with AVX-512
 (numpy 2.4.6) 262,144 elements take about 26 us as uint8, 124 us as
 uint32 and 153 us as uint64.  At L = 64 the eight planes measured slower
 than the uint64 word popcount (0.93 against 0.61 ms per 8192 C2,C2,C2
-values), so values that need more than four bytes keep the word path.
+values), so uint64 words keep the word path.
 
 The in-place butterflies (``apply_classifier``) and the Kronecker matrix
 (``dense_unitary``) are the two oracles that closed form is tested
@@ -208,24 +208,24 @@ def member_distances(members: np.ndarray,
     elementwise passes over contiguous rows, which numpy vectorises,
     rather than one short inner loop of M per value along a last axis.
 
-    The highest set bit of the members and values sets how many bytes
-    hold them.  Up to four bytes the bits are counted on uint8 byte
-    planes (see _plane_distances), because numpy vectorises
-    ``bitwise_count`` only for uint8; above four, that is at L = 64, the
-    uint64 word popcount is faster than eight planes and is kept.
+    In uint32 words (L <= 32) the bits are counted on uint8 byte planes
+    (see _plane_distances), because numpy vectorises ``bitwise_count``
+    only for uint8; the highest set bit of the members and values sets
+    how many planes.  uint64 words (L = 64) keep the word popcount, which
+    is faster than eight planes.
     """
     values, bits = np.asarray(values), 8 * members.itemsize
     if values.dtype != members.dtype:
         if values.itemsize > members.itemsize and (values >> bits).any():
             raise ValueError(f"values do not fit the {bits}-bit word")
         values = values.astype(members.dtype)
-    # the highest set bit of members | values is that of their maximum
-    top = int(np.maximum.reduce(values, axis=None, initial=members.max()))
-    planes = max(1, (top.bit_length() + 7) // 8)
-    if planes > 4:
+    if members.itemsize > 4:
         column = members.reshape(members.shape + (1,) * values.ndim)
         dist = np.bitwise_count(column ^ values)
     else:
+        # the highest set bit of members | values is that of their maximum
+        top = int(np.maximum.reduce(values, axis=None, initial=members.max()))
+        planes = max(1, (top.bit_length() + 7) // 8)
         dist = _plane_distances(members, values.reshape(-1), planes).reshape(
             members.shape + values.shape)
     return dist, dist.min(axis=0)
@@ -244,18 +244,16 @@ def _plane_distances(members: np.ndarray, values: np.ndarray,
     freed heap top to the system and fault it back in on most calls
     (about 650 minor faults per census pass against 77 with one buffer).
     """
-    little = members.dtype.newbyteorder("<")  # byte j holds bits 8j..8j+7
-    rows = np.ascontiguousarray(
-        np.ascontiguousarray(values, dtype=little).view(np.uint8)
-        .reshape(len(values), little.itemsize)[:, :planes].T)
-    member_bytes = (members.astype(little, copy=False).view(np.uint8)
-                    .reshape(len(members), little.itemsize)[:, :planes].T)
-    counts = np.bitwise_xor(member_bytes[:, :, None], rows[:, None, :])
+    shifts = np.arange(0, 8 * planes, 8, dtype=members.dtype)[:, None]
+    rows = (values >> shifts).astype(np.uint8)  # row j: byte j of each value
+    member_bytes = (members >> shifts).astype(np.uint8)
+    counts = np.bitwise_xor(member_bytes[:, :, None], rows[:, None, :],
+                            order="C")
     np.bitwise_count(counts, out=counts)
-    dist = counts[0]
-    for plane in counts[1:]:
-        dist += plane
-    return dist
+    flat = counts.reshape(planes, -1)  # a view, as counts is C-ordered
+    for plane in flat[1:]:
+        flat[0] += plane
+    return counts[0]
 
 
 def ket_probabilities(distances, length: int) -> np.ndarray:

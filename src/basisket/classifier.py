@@ -19,9 +19,12 @@ row per byte of the values, and only over the bytes that the members and
 values use: one plane at L <= 8, two at L = 16, four at L = 32.  numpy's
 ``bitwise_count`` is vectorised for uint8 only: on a Xeon with AVX-512
 (numpy 2.4.6) 262,144 elements take about 26 us as uint8, 124 us as
-uint32 and 153 us as uint64.  At L = 64 the eight planes measured slower
-than the uint64 word popcount (0.93 against 0.61 ms per 8192 C2,C2,C2
-values), so uint64 words keep the word path.
+uint32 and 153 us as uint64.  The planes need about ten more numpy calls
+per batch, so batches below ``PLANE_MIN_VALUES`` values (a game's
+512-round blocks, single functions) keep the word popcount; the profile
+builders pass 8192 values at a time.  At L = 64 the eight planes
+measured slower than the uint64 word popcount (0.93 against 0.61 ms per
+8192 C2,C2,C2 values), so uint64 words keep the word path.
 
 The in-place butterflies (``apply_classifier``) and the Kronecker matrix
 (``dense_unitary``) are the two oracles that closed form is tested
@@ -49,6 +52,11 @@ FACTOR_BITS = {"H": 1, "C2": 2}
 
 #: Classifier factor -> basis factor correspondence.
 FACTOR_TO_BASIS = {"H": "B1", "C2": "Q2"}
+
+#: Fewer values than this take the word popcount even in uint32 words:
+#: the byte planes cost about ten more numpy calls per batch, which their
+#: faster count repays only from about 2048 values (16 and 32 members).
+PLANE_MIN_VALUES = 1 << 11
 
 _H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]]) / sqrt(2.0)
 _C2_MATRIX = np.full((4, 4), 0.5)
@@ -208,18 +216,19 @@ def member_distances(members: np.ndarray,
     elementwise passes over contiguous rows, which numpy vectorises,
     rather than one short inner loop of M per value along a last axis.
 
-    In uint32 words (L <= 32) the bits are counted on uint8 byte planes
-    (see _plane_distances), because numpy vectorises ``bitwise_count``
-    only for uint8; the highest set bit of the members and values sets
-    how many planes.  uint64 words (L = 64) keep the word popcount, which
-    is faster than eight planes.
+    Batches of at least PLANE_MIN_VALUES values in uint32 words (L <= 32)
+    are counted on uint8 byte planes (see _plane_distances), because numpy
+    vectorises ``bitwise_count`` only for uint8; the highest set bit of
+    the members and values sets how many planes.  uint64 words (L = 64)
+    keep the word popcount, which is faster than eight planes, and so do
+    smaller batches, such as a game's blocks of 512 rounds.
     """
     values, bits = np.asarray(values), 8 * members.itemsize
     if values.dtype != members.dtype:
         if values.itemsize > members.itemsize and (values >> bits).any():
             raise ValueError(f"values do not fit the {bits}-bit word")
         values = values.astype(members.dtype)
-    if members.itemsize > 4:
+    if members.itemsize > 4 or values.size < PLANE_MIN_VALUES:
         column = members.reshape(members.shape + (1,) * values.ndim)
         dist = np.bitwise_count(column ^ values)
     else:
@@ -242,7 +251,7 @@ def _plane_distances(members: np.ndarray, values: np.ndarray,
     is returned.  The one buffer is deliberate: a distance array plus a
     separate per-plane buffer, each M x n, let the C library return the
     freed heap top to the system and fault it back in on most calls
-    (about 650 minor faults per census pass against 77 with one buffer).
+    (about 650 minor faults per census pass against 76 with one buffer).
     """
     shifts = np.arange(0, 8 * planes, 8, dtype=members.dtype)[:, None]
     rows = (values >> shifts).astype(np.uint8)  # row j: byte j of each value

@@ -19,8 +19,8 @@ from basisket import (
     initial_amplitudes,
     outcome_distribution,
 )
-from basisket.classifier import (ket_probabilities, member_array,
-                                 member_distances)
+from basisket.classifier import (PLANE_MIN_VALUES, ket_probabilities,
+                                 member_array, member_distances)
 from basisket.experiment import _batch_thetas
 
 PV = PatternVector.parse
@@ -298,7 +298,8 @@ class TestMemberDistances:
 
 
 #: One recipe per length: L = 2, 4, 8, 16 and 32 take the byte planes
-#: (one, one, one, two and four of them), L = 64 the uint64 word.
+#: (one, one, one, two and four of them) in large batches, L = 64 and
+#: small batches the word popcount.
 KERNEL_RECIPES = [("H",), ("C2",), ("H", "C2"), ("C2", "C2"),
                   ("C2", "C2", "H"), ("C2", "C2", "C2")]
 
@@ -307,8 +308,10 @@ KERNEL_RECIPES = [("H",), ("C2",), ("H", "C2"), ("C2", "C2"),
 def kernel_inputs(draw):
     """Members of one recipe and values of shape (), (n,) or (n, k),
     as the members' word or as uint64: all zeros, all ones, or values of
-    1 to 8 bytes, so that some need fewer bytes than their word and
-    some do not fit a uint32 word at all."""
+    0 to 64 bits, so that some need fewer bytes than their word and some
+    do not fit a uint32 word at all.  The values of shape (n,) and
+    (n, k) are repeated `reps` times along their first axis; reps =
+    PLANE_MIN_VALUES sends nonempty batches through the byte planes."""
     members = member_array(ClassifierSpec(draw(st.sampled_from(
         KERNEL_RECIPES))))
     dtype = draw(st.sampled_from([members.dtype, np.dtype(np.uint64)]))
@@ -317,28 +320,42 @@ def kernel_inputs(draw):
     ones = (1 << len(members)) - 1  # a function of L bits, L = M
     fill = draw(st.sampled_from([None, 0, ones]))
     if fill is None:
-        value = st.integers(1, dtype.itemsize).flatmap(
-            lambda nbytes: st.integers(0, (1 << 8 * nbytes) - 1))
+        # exact bit widths at and next to the byte edges that set the
+        # number of planes
+        widths = [w for w in (0, 1, 7, 8, 9, 15, 16, 17, 24, 25, 32, 33, 64)
+                  if w <= 8 * dtype.itemsize]
+        value = st.sampled_from(widths).flatmap(
+            lambda w: st.integers(1 << w >> 1, (1 << w) - 1))
         ints = draw(st.lists(value, min_size=prod(shape),
                              max_size=prod(shape)))
     else:
         ints = [fill] * prod(shape)
-    return members, ints, np.array(ints, dtype=dtype).reshape(shape)
+    values = np.array(ints, dtype=dtype).reshape(shape)
+    if not shape:
+        return members, ints, 1, values
+    reps = draw(st.sampled_from([1, PLANE_MIN_VALUES]))
+    return members, ints, reps, np.concatenate([values] * reps)
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(kernel_inputs())
 def test_member_distances_match_int_bit_count(case):
-    members, ints, values = case
+    members, ints, reps, values = case
     bits = 8 * members.itemsize
     if any(v >> bits for v in ints):
         with pytest.raises(ValueError, match=f"{bits}-bit word"):
             member_distances(members, values)
         return
     dist, dmin = member_distances(members, values)
-    want = [[(v ^ m).bit_count() for v in ints] for m in members.tolist()]
+    want = np.array([[(v ^ m).bit_count() for v in ints]
+                     for m in members.tolist()], dtype=np.int64)
     assert dist.dtype == dmin.dtype == np.uint8
     assert dist.shape == members.shape + values.shape
     assert dmin.shape == values.shape
-    assert dist.reshape(len(members), -1).tolist() == want
-    assert dmin.reshape(-1).tolist() == [min(col) for col in zip(*want)]
+    # every repeat of the drawn values has the drawn values' distances
+    assert np.array_equal(dist.reshape(len(members), reps, -1),
+                          np.broadcast_to(want[:, None], (len(members), reps,
+                                                          len(ints))))
+    assert np.array_equal(dmin.reshape(reps, -1),
+                          np.broadcast_to(want.min(axis=0, initial=255),
+                                          (reps, len(ints))))

@@ -111,14 +111,14 @@ class TestJson:
 
     @pytest.mark.parametrize("distance", [-1, 9, 1.5])
     def test_row_distance_out_of_range_rejected(self, profile, distance):
-        # a fractional distance used to reach numpy indexing (IndexError)
+        # a fractional distance must not reach numpy indexing (IndexError)
         doc = json.loads(profile_to_json(profile))
         doc["rows"][0]["distance"] = distance
         with pytest.raises(ValueError, match=f"row 0: distance {distance} "):
             profile_from_json(json.dumps(doc))
 
     def test_repeated_nearest_size_rejected(self, profile):
-        # "1" and "01" name one size; the second used to overwrite the first
+        # "1" and "01" name one size; storing both would keep only the last
         doc = json.loads(profile_to_json(profile))
         row = doc["rows"][1]
         row["nearest"] = {"1": row["count"], "01": row["count"]}

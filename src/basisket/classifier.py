@@ -7,8 +7,9 @@ significant index bits.  All operators are real, so states are plain
 float64 vectors.
 
 G is a distance oracle: every hot path takes member distances from the
-one popcount kernel ``member_distances`` and outcome probabilities from
-them with ``ket_probabilities``.  A function of L bits is one word:
+one popcount kernel ``member_distances``, or for exhaustive blocks from
+tables that it builds (``range_distances``), and outcome probabilities
+from them with ``ket_probabilities``.  A function of L bits is one word:
 uint32 for L <= 32, uint64 at L = 64 (``word_dtype``).  The kernel is
 member-major: members run along the first axis of its output, so the
 minimum over members and the count of nearest members are elementwise
@@ -21,10 +22,20 @@ values use: one plane at L <= 8, two at L = 16, four at L = 32.  numpy's
 (numpy 2.4.6) 262,144 elements take about 26 us as uint8, 124 us as
 uint32 and 153 us as uint64.  The planes need about ten more numpy calls
 per batch, so batches below ``PLANE_MIN_VALUES`` values (a game's
-512-round blocks, single functions) keep the word popcount; the profile
-builders pass 8192 values at a time.  At L = 64 the eight planes
+512-round blocks, single functions) keep the word popcount; the sampled
+profile builder passes 8192 values at a time.  At L = 64 the eight planes
 measured slower than the uint64 word popcount (0.93 against 0.61 ms per
 8192 C2,C2,C2 values), so uint64 words keep the word path.
+
+Exhaustive blocks are consecutive values, and those need no popcount
+of their own.  A value splits as h = hi * 2**(L/2) + lo, so
+d(h, m_k) = d(hi, hi(m_k)) + d(lo, lo(m_k)).  ``half_word_tables`` holds
+both terms for every half-word, two uint8 (M, 2**(L/2)) tables made by
+``member_distances`` once per spec, and ``range_distances`` adds a
+block's distances from them in one broadcast: 8192 C2,C2 values in
+about 12 us, and 8192 C2,C2,H values in about 60-75 us of
+``_batch_thetas`` against 190-240 us on the byte planes (the L = 32
+tables take about 3.5 ms to build, 4 MB).
 
 The in-place butterflies (``apply_classifier``) and the Kronecker matrix
 (``dense_unitary``) are the two oracles that closed form is tested
@@ -250,8 +261,11 @@ def _plane_distances(members: np.ndarray, values: np.ndarray,
     popcounted in place; the planes are then added into plane 0, which
     is returned.  The one buffer is deliberate: a distance array plus a
     separate per-plane buffer, each M x n, let the C library return the
-    freed heap top to the system and fault it back in on most calls
-    (about 650 minor faults per census pass against 76 with one buffer).
+    freed heap top to the system and fault it back in on most calls.
+    Measured in the benchmark worker while the census still counted its
+    blocks here: about 650 minor faults per census pass against 76 with
+    one buffer (7 on the word popcount before).  The census now takes
+    range_distances, at 6 faults per pass (seeds 1, 2, 3 and 5).
     """
     shifts = np.arange(0, 8 * planes, 8, dtype=members.dtype)[:, None]
     rows = (values >> shifts).astype(np.uint8)  # row j: byte j of each value
@@ -263,6 +277,59 @@ def _plane_distances(members: np.ndarray, values: np.ndarray,
     for plane in flat[1:]:
         flat[0] += plane
     return counts[0]
+
+
+@lru_cache(maxsize=None)
+def half_word_tables(spec: ClassifierSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only uint8 (M, 2**(L/2)) distances from every half-word to
+    each member's high half and to its low half, built once per spec
+    (as member_array) by one member_distances call each.  A value
+    h = hi * 2**(L/2) + lo is then at d(hi, hi(m_k)) + d(lo, lo(m_k))
+    from member k (see range_distances).  L <= 32: at L = 64 a table
+    would have 2**32 columns."""
+    if spec.dim > 32:
+        raise ValueError(f"no half-word tables at length {spec.dim}")
+    half = spec.dim // 2
+    members = member_array(spec)
+    words = np.arange(1 << half, dtype=members.dtype)
+    tables = (member_distances(members >> half, words)[0],
+              member_distances(members & ((1 << half) - 1), words)[0])
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def range_distances(spec: ClassifierSpec,
+                    values: range) -> tuple[np.ndarray, np.ndarray]:
+    """member_distances(member_array(spec), values) for a range of
+    consecutive function values, added from the two half_word_tables.
+
+    Values with one high half form a row of 2**(L/2) low halves.  A range
+    of whole aligned rows (every exhaustive block at L <= 16) gets each
+    of its high halves' table column plus the whole low-half table; a
+    range inside one row (a block at L = 32) gets that row's high-half
+    column plus a slice of the low-half table.  Any other range raises
+    ValueError.  Both are one broadcast add into a new uint8 (M, n)
+    array, with no popcount.
+    """
+    hi_table, lo_table = half_word_tables(spec)
+    half = spec.dim // 2
+    row = 1 << half
+    start, stop = values.start, values.stop
+    if values.step != 1 or not 0 <= start < stop <= 1 << spec.dim:
+        raise ValueError(f"{values!r} is not a nonempty run of values "
+                         f"in [0, 2**{spec.dim})")
+    if start % row == 0 and stop % row == 0:
+        dist = (hi_table[:, start // row:stop // row, None]
+                + lo_table[:, None, :]).reshape(len(lo_table), -1)
+    elif start // row == (stop - 1) // row:
+        lo = start % row
+        dist = (hi_table[:, start // row, None]
+                + lo_table[:, lo:lo + len(values)])
+    else:
+        raise ValueError(f"{values!r} is neither whole rows of {row} values "
+                         f"nor inside one row")
+    return dist, dist.min(axis=0)
 
 
 def ket_probabilities(distances, length: int) -> np.ndarray:

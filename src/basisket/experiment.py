@@ -3,7 +3,10 @@
 Exhaustive mode enumerates every Boolean function of length 8 or 16 and
 buckets the classification threshold by the exact Hamming distance from
 the class; theta = |N| (1 - 2d/L)**2 comes from the distances alone
-(see ``classifier.ket_probabilities``), with N the nearest members.  For
+(see ``classifier.ket_probabilities``), with N the nearest members.  Its
+blocks are ranges of consecutive values, whose member distances come
+from two cached half-word tables (``classifier.range_distances``);
+sampled values, probes and the game take the popcount kernel.  For
 lengths 32 and 64 exhaustive enumeration is out of reach, so a
 stratified sampler flips random bit subsets of random basis members and
 credits each sample to its true distance bucket, while deterministic
@@ -27,6 +30,7 @@ from .classifier import (
     classification_threshold,
     member_array,
     member_distances,
+    range_distances,
     word_dtype,
 )
 from .patterns import PatternBasis, PatternVector, class_rho
@@ -135,12 +139,19 @@ def _batch_thetas(spec: ClassifierSpec, members: np.ndarray,
     values (uint32/uint64 words by length, cast to the members' word);
     theta = |N| * ket_probabilities(distance).
 
-    Both profile builders pass at most BLOCK values per call, so the
-    kernel's temporaries stay M x BLOCK.  The nearest members are marked
-    in place on the kernel's uint8 distance array and |N| is summed in
-    uint8: at most 64 members.
+    `values` may also be a range of consecutive values, whole rows of
+    2**(L/2) values or a run inside one row (see
+    classifier.range_distances, which raises ValueError for any other
+    range); its distances are then added from the spec's half-word
+    tables rather than popcounted from `members`.  Both profile builders
+    pass at most BLOCK values per call, so the kernel's temporaries stay
+    M x BLOCK.  The nearest members are marked in place on the kernel's
+    uint8 distance array and |N| is summed in uint8: at most 64 members.
     """
-    dist, dmin = member_distances(members, values)
+    if isinstance(values, range):
+        dist, dmin = range_distances(spec, values)
+    else:
+        dist, dmin = member_distances(members, values)
     nearest = np.equal(dist, dmin, out=dist)
     return (dmin.astype(np.int64),
             nearest.sum(axis=0, dtype=np.uint8).astype(np.int64))
@@ -152,8 +163,11 @@ def exhaustive_profile(
 ) -> DistanceProfile:
     """Evaluate every Boolean function of the recipe's length.
 
-    Deterministic.  The values go BLOCK at a time, and `progress`
-    receives (functions done, functions total) after each block.
+    Deterministic.  The values go BLOCK at a time, each block as a
+    range(start, stop) whose distances _batch_thetas adds from the
+    spec's cached half-word tables (whole rows at L <= 16), and
+    `progress` receives (functions done, functions total) after each
+    block.
     """
     spec = ClassifierSpec(tuple(recipe))
     if spec.total_bits > EXHAUSTIVE_RANK_CAP:
@@ -166,8 +180,7 @@ def exhaustive_profile(
     profile = DistanceProfile.empty(recipe, "exhaustive", length)
     for start in range(0, total, BLOCK):
         stop = min(start + BLOCK, total)
-        values = np.arange(start, stop, dtype=members.dtype)
-        profile.add_batch(*_batch_thetas(spec, members, values))
+        profile.add_batch(*_batch_thetas(spec, members, range(start, stop)))
         if progress is not None:
             progress(stop, total)
     return profile
@@ -176,9 +189,12 @@ def exhaustive_profile(
 @lru_cache(maxsize=None)
 def _popcount_sorted_words(width: int) -> np.ndarray:
     """Every `width`-bit word, by popcount and then by value: the words
-    of popcount k are entries sum(C(width, j), j < k) onwards."""
+    of popcount k are entries sum(C(width, j), j < k) onwards.  A word's
+    popcount is its distance from the zero word, so the one kernel
+    counts it."""
     words = np.arange(1 << width, dtype=np.uint16)
-    table = words[np.argsort(np.bitwise_count(words), kind="stable")]
+    _, popcounts = member_distances(np.zeros(1, dtype=np.uint32), words)
+    table = words[np.argsort(popcounts, kind="stable")]
     table.flags.writeable = False  # cached: every caller shares it
     return table
 

@@ -4,7 +4,7 @@ from math import prod, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from basisket import (
     ClassifierSpec,
@@ -19,9 +19,10 @@ from basisket import (
     initial_amplitudes,
     outcome_distribution,
 )
-from basisket.classifier import (PLANE_MIN_VALUES, ket_probabilities,
-                                 member_array, member_distances)
-from basisket.experiment import _batch_thetas
+from basisket.classifier import (PLANE_MIN_VALUES, half_word_tables,
+                                 ket_probabilities, member_array,
+                                 member_distances, range_distances)
+from basisket.experiment import BLOCK, _batch_thetas
 
 PV = PatternVector.parse
 
@@ -359,3 +360,88 @@ def test_member_distances_match_int_bit_count(case):
     assert np.array_equal(dmin.reshape(reps, -1),
                           np.broadcast_to(want.min(axis=0, initial=255),
                                           (reps, len(ints))))
+
+
+#: Recipes of every exhaustive length (2, 4, 8 and 16) and the two
+#: length-32 recipes whose exhaustive blocks each lie inside one row.
+RANGE_RECIPES = [("H",), ("C2",), ("H", "H"), ("H", "C2"), ("C2", "H"),
+                 ("C2", "C2"), ("H", "H", "H", "H"), ("C2", "C2", "H"),
+                 ("H",) * 5]
+
+
+@st.composite
+def value_ranges(draw):
+    """A recipe and a range of its function values: whole rows of 2**(L/2)
+    values (L <= 16), a run inside one row, or a run across a row edge
+    that is not whole rows.  The first and last row and the first and
+    last value of a row come up often."""
+    recipe = draw(st.sampled_from(RANGE_RECIPES))
+    length = ClassifierSpec(recipe).dim
+    row = 1 << length // 2  # also the number of rows
+
+    def index(top):
+        return draw(st.one_of(st.just(0), st.just(top), st.integers(0, top)))
+
+    kind = draw(st.sampled_from(["rows", "inside", "misaligned"]))
+    if kind == "rows" and length < 32:
+        first = index(row - 1)
+        count = draw(st.integers(1, row - first))
+        return recipe, first * row, (first + count) * row
+    if kind == "misaligned":
+        hi = draw(st.integers(0, row - 2))
+        start = hi * row + draw(st.integers(0, row - 1))
+        stop = draw(st.integers((hi + 1) * row + 1, row * row))
+        assume(start % row or stop % row)
+        return recipe, start, stop
+    hi, lo = index(row - 1), index(row - 1)
+    return recipe, hi * row + lo, hi * row + draw(st.integers(lo + 1, row))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(value_ranges())
+@example((("C2", "C2", "H"), 0, BLOCK))
+@example((("C2", "C2", "H"), (1 << 32) - BLOCK, 1 << 32))
+@example((("H",) * 5, 0, BLOCK))
+@example((("H",) * 5, (1 << 32) - BLOCK, 1 << 32))
+@example((("C2", "C2"), 0, BLOCK))
+@example((("C2", "C2"), (1 << 16) - BLOCK, 1 << 16))
+@example((("H", "H", "H", "H"), (1 << 16) - BLOCK, 1 << 16))
+def test_range_path_matches_array_path(case):
+    recipe, start, stop = case
+    spec = ClassifierSpec(recipe)
+    members, row = member_array(spec), 1 << spec.dim // 2
+    values = range(start, stop)
+    if (start % row or stop % row) and start // row != (stop - 1) // row:
+        with pytest.raises(ValueError, match=f"range\\({start}, {stop}\\)"):
+            range_distances(spec, values)
+        with pytest.raises(ValueError, match="neither whole rows"):
+            _batch_thetas(spec, members, values)
+        return
+    words = np.arange(start, stop, dtype=members.dtype)
+    for got, want in zip(range_distances(spec, values),
+                         member_distances(members, words)):
+        assert got.dtype == want.dtype == np.uint8
+        assert np.array_equal(got, want)
+    for got, want in zip(_batch_thetas(spec, members, values),
+                         _batch_thetas(spec, members, words)):
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+def test_range_path_rejects_other_ranges():
+    spec = ClassifierSpec(("C2", "C2"))
+    for values in (range(0, 0), range(0, 512, 2), range(256, 0, -1),
+                   range(-256, 0), range(0, (1 << 16) + 256)):
+        with pytest.raises(ValueError, match="not a nonempty run"):
+            range_distances(spec, values)
+    with pytest.raises(ValueError, match="no half-word tables at length 64"):
+        range_distances(ClassifierSpec(("C2", "C2", "C2")), range(0, 1))
+
+
+def test_half_word_tables_are_cached_and_read_only():
+    spec = ClassifierSpec(("H", "C2"))
+    hi, lo = half_word_tables(spec)
+    again = half_word_tables(ClassifierSpec(("H", "C2")))
+    assert again[0] is hi and again[1] is lo
+    assert hi.shape == lo.shape == (8, 16) and hi.dtype == np.uint8
+    assert not hi.flags.writeable and not lo.flags.writeable

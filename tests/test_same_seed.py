@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from basisket import stratified_sample_profile
+from basisket import exhaustive_profile, stratified_sample_profile
 from basisket.cli import cli_dispatch
 
 SAMPLE_NEAREST_SHA256 = (
@@ -30,6 +30,32 @@ MULTI_BLOCK_SAMPLES = {
     "L64": ((("C2", "C2", "C2"), {8: 5, 30: 2}, 4, 20_000),
             "7a7cade69c32182f67e618bcb013bb887aba0790e7a3f0927ffa11646b97e84d",
             (30,)),
+}
+#: recorded on 3f79d3b: the length-2 and length-4 recipes, the three
+#: length-8 recipes of table 3 and the five length-16 recipes of table 5
+EXHAUSTIVE_NEAREST_SHA256 = {
+    "H":
+        "51a6d5daaae41127312b085e8cf990fe937f2ba3ac48a4c98f14d19ca7d61bbd",
+    "C2":
+        "66326a2dcb3785e769804e77e72570b584241b1179975dc14166271de52db0be",
+    "H,H":
+        "e6a6d07ef0f505b14177cb6e06dcd8bafb35c0a32b40a58acb6a185b7d3b1f0d",
+    "H,H,H":
+        "40abc1a72fef8fb140c43895c433f7d5476f1ada1ef931057713110f73803d9a",
+    "H,C2":
+        "6ae8f445eb1f9e546f58ff50e8d012a28231e0620cdd2bc9ae7fee0afd0992fa",
+    "C2,H":
+        "6ae8f445eb1f9e546f58ff50e8d012a28231e0620cdd2bc9ae7fee0afd0992fa",
+    "H,H,H,H":
+        "d6e96777f710d99021be06a2117d6098f8858a7eaef229ebb1120b81b47a39f2",
+    "H,H,C2":
+        "446a7da05e2d51307770db36f66b3d6f445f7cbacd5fd02ee971574aa3d67400",
+    "H,C2,H":
+        "446a7da05e2d51307770db36f66b3d6f445f7cbacd5fd02ee971574aa3d67400",
+    "C2,H,H":
+        "446a7da05e2d51307770db36f66b3d6f445f7cbacd5fd02ee971574aa3d67400",
+    "C2,C2":
+        "74191bd3798136572bd93e63810823ce5b15c9116da4477fa51fce8bc39d0de4",
 }
 GAME_STDOUT_SHA256 = (
     "9f08b7ad1a5adb27fdf70e84e7ca5ce57a5fd253e502395bb0d13f74ec9ec176")
@@ -70,6 +96,13 @@ def test_multi_block_sampled_profile_bytes(case):
                                         attempt_factor=factor)
     assert sha256(profile.nearest.astype("<i8").tobytes()) == digest
     assert profile.short_buckets == short
+
+
+@pytest.mark.parametrize("recipe", sorted(EXHAUSTIVE_NEAREST_SHA256))
+def test_exhaustive_profile_bytes(recipe):
+    profile = exhaustive_profile(recipe.split(","))
+    assert sha256(profile.nearest.astype("<i8").tobytes()) == \
+        EXHAUSTIVE_NEAREST_SHA256[recipe]
 
 
 @pytest.mark.parametrize("recipe,bob", sorted(ROUNDS_OUT_SHA256))

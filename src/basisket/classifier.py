@@ -313,8 +313,7 @@ def range_distances(spec: ClassifierSpec,
     array, with no popcount.
     """
     hi_table, lo_table = half_word_tables(spec)
-    half = spec.dim // 2
-    row = 1 << half
+    row = 1 << spec.dim // 2
     start, stop = values.start, values.stop
     if values.step != 1 or not 0 <= start < stop <= 1 << spec.dim:
         raise ValueError(f"{values!r} is not a nonempty run of values "

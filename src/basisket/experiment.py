@@ -193,7 +193,7 @@ def _popcount_sorted_words(width: int) -> np.ndarray:
     popcount is its distance from the zero word, so the one kernel
     counts it."""
     words = np.arange(1 << width, dtype=np.uint16)
-    _, popcounts = member_distances(np.zeros(1, dtype=np.uint32), words)
+    _, popcounts = member_distances(np.zeros(1, dtype=np.uint16), words)
     table = words[np.argsort(popcounts, kind="stable")]
     table.flags.writeable = False  # cached: every caller shares it
     return table

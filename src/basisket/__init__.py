@@ -20,10 +20,8 @@ from .patterns import (
     builtin_basis,
     class_rho,
     distance_from_class,
-    enumerate_neighborhood,
     extended_product_eval,
     hamming_distance,
-    negate,
     pattern_product,
     rho_recurrence,
     validate_basis,
@@ -67,9 +65,9 @@ __all__ = [
     "apply_hadamard_factor", "basis_product", "bob_pick",
     "build_basis_from_recipe", "builtin_basis", "class_rho",
     "classification_threshold", "dense_unitary", "distance_from_class",
-    "enumerate_neighborhood", "estimate_win_rate", "exhaustive_profile",
-    "extended_product_eval", "hamming_distance", "initial_amplitudes",
-    "interval_summary", "merge_profiles", "negate", "outcome_distribution",
-    "pattern_product", "play_round", "probe_suite", "profile_rho",
-    "rho_recurrence", "stratified_sample_profile", "validate_basis",
+    "estimate_win_rate", "exhaustive_profile", "extended_product_eval",
+    "hamming_distance", "initial_amplitudes", "interval_summary",
+    "merge_profiles", "outcome_distribution", "pattern_product", "play_round",
+    "probe_suite", "profile_rho", "rho_recurrence",
+    "stratified_sample_profile", "validate_basis",
 ]

@@ -262,10 +262,6 @@ def _plane_distances(members: np.ndarray, values: np.ndarray,
     is returned.  The one buffer is deliberate: a distance array plus a
     separate per-plane buffer, each M x n, let the C library return the
     freed heap top to the system and fault it back in on most calls.
-    Measured in the benchmark worker while the census still counted its
-    blocks here: about 650 minor faults per census pass against 76 with
-    one buffer (7 on the word popcount before).  The census now takes
-    range_distances, at 6 faults per pass (seeds 1, 2, 3 and 5).
     """
     shifts = np.arange(0, 8 * planes, 8, dtype=members.dtype)[:, None]
     rows = (values >> shifts).astype(np.uint8)  # row j: byte j of each value

@@ -94,17 +94,12 @@ class DistanceProfile:
         self.nearest += np.bincount(
             distances * size + nearest, minlength=size * size).reshape(size, size)
 
-    def nearest_counts(self, distance: int) -> dict[int, int]:
-        """{|N|: function count} at `distance`, for the sizes that occur."""
+    def bucket(self, distance: int) -> Bucket:
+        """Count, exact mean (one correctly rounded int division), min
+        and max theta at `distance`, from its {|N|: function count} row."""
         row = {k: n for k, n in enumerate(self.nearest[distance].tolist()) if n}
         if not row:
             raise ValueError(f"no samples at distance {distance}")
-        return row
-
-    def bucket(self, distance: int) -> Bucket:
-        """Count, exact mean (one correctly rounded int division), min
-        and max theta at `distance`, from one nearest_counts row."""
-        row = self.nearest_counts(distance)
         count = sum(row.values())
         return Bucket(
             count,
@@ -114,12 +109,6 @@ class DistanceProfile:
 
     def mean(self, distance: int) -> float:
         return self.bucket(distance).mean
-
-    def min_theta(self, distance: int) -> float:
-        return self.bucket(distance).min_theta
-
-    def max_theta(self, distance: int) -> float:
-        return self.bucket(distance).max_theta
 
     def _theta(self, distance: int, weight: int, count: int = 1) -> float:
         return (weight * (self.length - 2 * distance) ** 2

@@ -129,6 +129,9 @@ def _pick(rng: np.random.Generator, recipe: tuple[str, ...], strategy: str,
     length = spec.dim
     if strategy == "pivot":
         strategy, distance = "at_distance", regions(length)[0][1]
+        if distance < 1:
+            raise ValueError(f"the pivot distance L/8 is 0 at length {length}: "
+                             "pivot needs L >= 8")
 
     if strategy == "uniform_random":
         # drawn as uint64 whatever the word, so the stream stays the same
@@ -267,18 +270,6 @@ class WinRate:
     wins: int
     exact_rate: float  # Rao-Blackwell: mean of each round's win chance
     wilson_95: tuple[float, float]  # (low, high), wide even at rate 0 or 1
-
-
-def play_rounds(config: GameConfig) -> Iterator[RoundRecord]:
-    """Every round in order, from the same blocks as estimate_win_rate.
-
-    Block b holds rounds b*ROUND_BLOCK onwards and draws from the b-th
-    child of SeedSequence(config.seed), so a block replays or runs on
-    another machine from (seed, b) without changing the aggregate.
-    """
-    length = _game_context(config.recipe)[0].dim
-    for block in _blocks(config):
-        yield from _records(block, length)
 
 
 _Z95 = 1.959963984540054  # normal quantile of a two-sided 95% interval

@@ -19,10 +19,8 @@ word.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import comb
-from typing import Iterator, Sequence
+from typing import Sequence
 
 #: Largest supported basis rank (vectors of length 2**6 = 64).
 RANK_CAP = 6
@@ -61,33 +59,16 @@ class PatternVector:
             raise ValueError(f"not a bit string: {text!r}")
         return cls(int(cleaned, 2), len(cleaned))
 
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "PatternVector":
-        """Build from a sequence indexed by input value: bits[i] = f(i)."""
-        value = 0
-        for i, b in enumerate(bits):
-            if b:
-                value |= 1 << i
-        return cls(value, len(bits))
-
     def bit(self, i: int) -> int:
         """Value of the realized function at input i."""
         if not 0 <= i < self.length:
             raise ValueError(f"index {i} out of range for length {self.length}")
         return (self.value >> i) & 1
 
-    def bits(self) -> list[int]:
-        """All function values, indexed by input."""
-        return [(self.value >> i) & 1 for i in range(self.length)]
-
     def negate(self) -> "PatternVector":
         """The vector of the negated function (every bit flipped)."""
         mask = (1 << self.length) - 1
         return PatternVector(self.value ^ mask, self.length)
-
-    def weight(self) -> int:
-        """Number of 1 bits."""
-        return self.value.bit_count()
 
     def zero_count(self) -> int:
         """Number of 0 bits."""
@@ -165,11 +146,6 @@ def hamming_distance(a: PatternVector, b: PatternVector) -> int:
         raise ValueError(
             f"length mismatch: {a.length} vs {b.length}")
     return (a.value ^ b.value).bit_count()
-
-
-def negate(p: PatternVector) -> PatternVector:
-    """Flip every bit of p."""
-    return p.negate()
 
 
 def pattern_product(p: PatternVector, q: PatternVector) -> PatternVector:
@@ -280,27 +256,6 @@ def distance_from_class(basis: PatternBasis, h: PatternVector) -> NearestSet:
     dists = [(h.value ^ m.value).bit_count() for m in basis.members]
     dmin = min(dists)
     return NearestSet(dmin, frozenset(k for k, d in enumerate(dists) if d == dmin))
-
-
-def enumerate_neighborhood(p: PatternVector, r: int) -> Iterator[PatternVector]:
-    """Yield every vector within Hamming distance r of p, exactly once.
-
-    Order: increasing distance, then flipped-index combinations in
-    lexicographic order.  Total count is sum(C(|p|, k) for k <= r).
-    """
-    if r < 0 or r > p.length:
-        raise ValueError(f"radius {r} out of range for length {p.length}")
-    for k in range(r + 1):
-        for combo in itertools.combinations(range(p.length), k):
-            flip = 0
-            for pos in combo:
-                flip |= 1 << pos
-            yield PatternVector(p.value ^ flip, p.length)
-
-
-def neighborhood_size(length: int, r: int) -> int:
-    """Number of vectors within distance r of any fixed vector."""
-    return sum(comb(length, k) for k in range(r + 1))
 
 
 #: Sentinel returned by class_rho when members have differing zero counts.

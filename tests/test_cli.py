@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import basisket
 from basisket.classifier import ClassifierSpec, classification_threshold
 from basisket.cli import SEED_ENV_VAR, build_parser, cli_dispatch
 from basisket.experiment import ATTEMPT_FACTOR
@@ -276,6 +277,18 @@ class TestGame:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "distance 3" in err
 
+    @pytest.mark.parametrize("recipe,length", [
+        ("H", 2), ("C2", 4), ("H,H", 4)])
+    def test_pivot_needs_length_eight(self, capsys, recipe, length):
+        # L/8 is 0 below length 8; the error must not blame a --distance
+        # the user never gave
+        code, out, err = run(capsys, "game", "--recipe", recipe,
+                             "--bob", "pivot", "--trials", "5", "--seed", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
+        assert f"length {length}" in err and "pivot needs L >= 8" in err
+        assert "distance >= 1" not in err
+
     @pytest.mark.parametrize("trials", [1, ROUND_BLOCK - 1, ROUND_BLOCK,
                                         ROUND_BLOCK + 1, 1500])
     def test_rounds_out(self, capsys, tmp_path, trials):
@@ -349,3 +362,11 @@ class TestTopLevel:
 
     def test_missing_subcommand(self, capsys):
         assert run(capsys)[0] == 1
+
+    def test_every_export_resolves(self):
+        assert len(set(basisket.__all__)) == len(basisket.__all__)
+        assert [name for name in basisket.__all__
+                if not hasattr(basisket, name)] == []
+        namespace = {}
+        exec("from basisket import *", namespace)
+        assert set(basisket.__all__) <= set(namespace)

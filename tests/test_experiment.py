@@ -67,8 +67,11 @@ class TestExhaustiveProfile:
         assert profile.mean(3) == pytest.approx(0.21875, abs=1e-12)
         assert profile.mean(4) == pytest.approx(0.0, abs=1e-9)
         # distance 2 spans a wide threshold range, up to a perfect score
-        assert profile.min_theta(2) == 0.25
-        assert profile.max_theta(2) == 1.0
+        assert profile.bucket(2).min_theta == 0.25
+        assert profile.bucket(2).max_theta == 1.0
+        # no length-8 function is 5 or more from this class
+        with pytest.raises(ValueError, match="no samples at distance 5"):
+            profile.bucket(5)
 
     def test_batch_thetas_is_independent_of_blocking(self):
         # the kernel walks its values BLOCK at a time; any split of a
@@ -125,8 +128,8 @@ class TestExhaustiveProfile:
         for d, ts in thetas.items():
             # the thetas are dyadic, so their sum is exact
             assert profile.mean(d) == math.fsum(ts) / len(ts)
-            assert profile.min_theta(d) == min(ts)
-            assert profile.max_theta(d) == max(ts)
+            assert profile.bucket(d).min_theta == min(ts)
+            assert profile.bucket(d).max_theta == max(ts)
 
 
 def _exhaustive_unrank_cases():
@@ -248,8 +251,8 @@ class TestStratifiedSampleProfile:
         nearest = distance_from_class(basis, h)
         assert nearest.distance == 1
         want = len(nearest.indices) * ((32 - 2) / 32) ** 2
-        assert profile.min_theta(1) == want
-        assert profile.max_theta(1) == want
+        assert profile.bucket(1).min_theta == want
+        assert profile.bucket(1).max_theta == want
 
     def test_unreachable_bucket_is_flagged_not_fatal(self):
         # distance-15 hits are ~5e-5 of attempts; a factor-2 cap must
@@ -348,8 +351,8 @@ class TestMergeProfiles:
         assert np.array_equal(merged.counts, a.counts + b.counts)
         assert np.array_equal(merged.nearest, a.nearest + b.nearest)
         for d in (1, 2):
-            assert merged.min_theta(d) == min(a.min_theta(d), b.min_theta(d))
-            assert merged.max_theta(d) == max(a.max_theta(d), b.max_theta(d))
+            assert merged.bucket(d).min_theta == min(a.bucket(d).min_theta, b.bucket(d).min_theta)
+            assert merged.bucket(d).max_theta == max(a.bucket(d).max_theta, b.bucket(d).max_theta)
 
     def test_merge_is_independent_of_order_and_grouping(self):
         quotas = {1: 10, 2: 10}

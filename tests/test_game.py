@@ -15,10 +15,10 @@ from basisket import (
 from basisket.experiment import regions
 from basisket.game import (
     ROUND_BLOCK,
+    _blocks,
     _game_context,
     _play_block,
     _records,
-    play_rounds,
 )
 from basisket.game import wilson_interval as wilson_95
 
@@ -95,6 +95,10 @@ class TestBobPick:
     def test_pivot_targets_an_eighth_of_the_length(self):
         _, nearest = bob_pick(RANK4, "pivot", seed=5)
         assert nearest.distance == 16 // 8
+
+    def test_pivot_rejects_lengths_below_eight(self):
+        with pytest.raises(ValueError, match="length 4: pivot needs L >= 8"):
+            bob_pick(("H", "H"), "pivot", seed=5)
 
     def test_uniform_random_avoids_the_class(self):
         _, basis, _, _ = _game_context(RANK4)
@@ -209,7 +213,9 @@ class TestBlockEngine:
         config = GameConfig(recipe, bob, "interval_threshold", trials=600,
                             seed=21, bob_distance=distance)
         length = spec.dim
-        for record in play_rounds(config):
+        records = (record for block in _blocks(config)
+                   for record in _records(block, length))
+        for record in records:
             nearest = distance_from_class(basis, record.function)
             assert record.distance == nearest.distance >= 1
             assert record.in_nearest == (record.outcome in nearest.indices)
@@ -227,7 +233,8 @@ class TestBlockEngine:
     def test_block_replays_from_seed_and_index(self):
         config = GameConfig(RANK4, "pivot", "interval_threshold",
                             trials=1500, seed=13)
-        records = list(play_rounds(config))
+        records = [record for block in _blocks(config)
+                   for record in _records(block, 16)]
         for b in range(3):
             seed = np.random.SeedSequence(config.seed, spawn_key=(b,))
             size = min(ROUND_BLOCK, config.trials - b * ROUND_BLOCK)

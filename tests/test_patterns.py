@@ -10,15 +10,12 @@ from basisket import (
     builtin_basis,
     class_rho,
     distance_from_class,
-    enumerate_neighborhood,
     extended_product_eval,
     hamming_distance,
-    negate,
     pattern_product,
     rho_recurrence,
     validate_basis,
 )
-from basisket.patterns import neighborhood_size
 
 PV = PatternVector.parse
 
@@ -73,17 +70,17 @@ class TestHammingDistance:
 
 class TestNegate:
     def test_simple(self):
-        assert str(negate(PV("00"))) == "11"
-        assert str(negate(PV("0001"))) == "1110"
+        assert str(PV("00").negate()) == "11"
+        assert str(PV("0001").negate()) == "1110"
 
     def test_involution_and_distance_laws(self):
         rng = random.Random(3)
         for _ in range(200):
             length = rng.choice([8, 16, 64])
             a, b = random_vector(rng, length), random_vector(rng, length)
-            assert negate(negate(a)) == a
-            assert hamming_distance(negate(a), negate(b)) == hamming_distance(a, b)
-            assert hamming_distance(a, negate(a)) == length
+            assert a.negate().negate() == a
+            assert hamming_distance(a.negate(), b.negate()) == hamming_distance(a, b)
+            assert hamming_distance(a, a.negate()) == length
 
 
 class TestPatternProduct:
@@ -283,28 +280,6 @@ class TestDistanceFromClass:
             assert nearest.distance == min(dists)
             assert nearest.indices == {
                 k for k, d in enumerate(dists) if d == min(dists)}
-
-
-class TestEnumerateNeighborhood:
-    def test_radius_zero(self):
-        assert [str(v) for v in enumerate_neighborhood(PV("0001"), 0)] == ["0001"]
-
-    def test_radius_one_length_two(self):
-        got = [str(v) for v in enumerate_neighborhood(PV("00"), 1)]
-        assert got == ["00", "01", "10"]
-
-    def test_count_matches_binomial_sum(self):
-        p = PV("10011010")
-        got = list(enumerate_neighborhood(p, 2))
-        assert len(got) == 37  # 1 + 8 + 28
-        assert neighborhood_size(8, 2) == 37
-        assert len({v.value for v in got}) == 37  # each vector exactly once
-        dists = [hamming_distance(p, v) for v in got]
-        assert dists == sorted(dists)  # increasing distance order
-
-    def test_radius_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            list(enumerate_neighborhood(PV("00"), 3))
 
 
 class TestClassRho:

@@ -15,27 +15,15 @@ member-major: members run along the first axis of its output, so the
 minimum over members and the count of nearest members are elementwise
 passes over whole rows of values.
 
-Up to L = 32 the kernel counts bits on uint8 byte planes, one contiguous
-row per byte of the values, and only over the bytes that the members and
-values use: one plane at L <= 8, two at L = 16, four at L = 32.  numpy's
-``bitwise_count`` is vectorised for uint8 only: on a Xeon with AVX-512
-(numpy 2.4.6) 262,144 elements take about 26 us as uint8, 124 us as
-uint32 and 153 us as uint64.  The planes need about ten more numpy calls
-per batch, so batches below ``PLANE_MIN_VALUES`` values (a game's
-512-round blocks, single functions) keep the word popcount; the sampled
-profile builder passes 8192 values at a time.  At L = 64 the eight planes
-measured slower than the uint64 word popcount (0.93 against 0.61 ms per
-8192 C2,C2,C2 values), so uint64 words keep the word path.
-
 Exhaustive blocks are consecutive values, and those need no popcount
 of their own.  A value splits as h = hi * 2**(L/2) + lo, so
 d(h, m_k) = d(hi, hi(m_k)) + d(lo, lo(m_k)).  ``half_word_tables`` holds
 both terms for every half-word, two uint8 (M, 2**(L/2)) tables made by
 ``member_distances`` once per spec, and ``range_distances`` adds a
-block's distances from them in one broadcast: 8192 C2,C2 values in
-about 12 us, and 8192 C2,C2,H values in about 60-75 us of
-``_batch_thetas`` against 190-240 us on the byte planes (the L = 32
-tables take about 3.5 ms to build, 4 MB).
+block's distances from them in one broadcast: 8192 C2,C2,H values in
+about 65-115 us of ``_batch_thetas`` against 210-370 us through the
+word popcount on a shared 2-vCPU Xeon (the L = 32 tables take about
+3-6 ms to build, 4 MB).
 
 The in-place butterflies (``apply_classifier``) and the Kronecker matrix
 (``dense_unitary``) are the two oracles that closed form is tested
@@ -63,11 +51,6 @@ FACTOR_BITS = {"H": 1, "C2": 2}
 
 #: Classifier factor -> basis factor correspondence.
 FACTOR_TO_BASIS = {"H": "B1", "C2": "Q2"}
-
-#: Fewer values than this take the word popcount even in uint32 words:
-#: the byte planes cost about ten more numpy calls per batch, which their
-#: faster count repays only from about 2048 values (16 and 32 members).
-PLANE_MIN_VALUES = 1 << 11
 
 _H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]]) / sqrt(2.0)
 _C2_MATRIX = np.full((4, 4), 0.5)
@@ -226,53 +209,18 @@ def member_distances(members: np.ndarray,
     ``dmin = dist.min(axis=0)``.  A reduction over the members is then M
     elementwise passes over contiguous rows, which numpy vectorises,
     rather than one short inner loop of M per value along a last axis.
-
-    Batches of at least PLANE_MIN_VALUES values in uint32 words (L <= 32)
-    are counted on uint8 byte planes (see _plane_distances), because numpy
-    vectorises ``bitwise_count`` only for uint8; the highest set bit of
-    the members and values sets how many planes.  uint64 words (L = 64)
-    keep the word popcount, which is faster than eight planes, and so do
-    smaller batches, such as a game's blocks of 512 rounds.
+    Every value takes one word popcount, ``np.bitwise_count`` of the
+    member XOR the value, in uint32 words up to L = 32 and uint64 words
+    at L = 64.
     """
     values, bits = np.asarray(values), 8 * members.itemsize
     if values.dtype != members.dtype:
         if values.itemsize > members.itemsize and (values >> bits).any():
             raise ValueError(f"values do not fit the {bits}-bit word")
         values = values.astype(members.dtype)
-    if members.itemsize > 4 or values.size < PLANE_MIN_VALUES:
-        column = members.reshape(members.shape + (1,) * values.ndim)
-        dist = np.bitwise_count(column ^ values)
-    else:
-        # the highest set bit of members | values is that of their maximum
-        top = int(np.maximum.reduce(values, axis=None, initial=members.max()))
-        planes = max(1, (top.bit_length() + 7) // 8)
-        dist = _plane_distances(members, values.reshape(-1), planes).reshape(
-            members.shape + values.shape)
+    column = members.reshape(members.shape + (1,) * values.ndim)
+    dist = np.bitwise_count(column ^ values)
     return dist, dist.min(axis=0)
-
-
-def _plane_distances(members: np.ndarray, values: np.ndarray,
-                     planes: int) -> np.ndarray:
-    """uint8 (M, n) Hamming distances of the flat `values` to the
-    members, counted over their low `planes` bytes.
-
-    Byte j of every value is one contiguous uint8 row.  One (planes, M,
-    n) buffer takes every row XOR every member's byte j and is
-    popcounted in place; the planes are then added into plane 0, which
-    is returned.  The one buffer is deliberate: a distance array plus a
-    separate per-plane buffer, each M x n, let the C library return the
-    freed heap top to the system and fault it back in on most calls.
-    """
-    shifts = np.arange(0, 8 * planes, 8, dtype=members.dtype)[:, None]
-    rows = (values >> shifts).astype(np.uint8)  # row j: byte j of each value
-    member_bytes = (members >> shifts).astype(np.uint8)
-    counts = np.bitwise_xor(member_bytes[:, :, None], rows[:, None, :],
-                            order="C")
-    np.bitwise_count(counts, out=counts)
-    flat = counts.reshape(planes, -1)  # a view, as counts is C-ordered
-    for plane in flat[1:]:
-        flat[0] += plane
-    return counts[0]
 
 
 @lru_cache(maxsize=None)

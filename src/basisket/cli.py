@@ -56,10 +56,14 @@ DEFAULT_QUOTA = 200  # per distance d < L/2, when sample gets no --quota
 
 def _seed(text: str, source: str = "") -> int:
     try:
-        return int(text)
+        seed = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"seed must be an integer, got {text!r}{source}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer, got {text!r}{source}")
+    return seed
 
 
 def _parse_quotas(items: list[str] | None, length: int) -> dict[int, int]:

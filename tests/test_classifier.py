@@ -19,9 +19,9 @@ from basisket import (
     initial_amplitudes,
     outcome_distribution,
 )
-from basisket.classifier import (PLANE_MIN_VALUES, half_word_tables,
-                                 ket_probabilities, member_array,
-                                 member_distances, range_distances)
+from basisket.classifier import (half_word_tables, ket_probabilities,
+                                 member_array, member_distances,
+                                 range_distances)
 from basisket.experiment import BLOCK, _batch_thetas
 
 PV = PatternVector.parse
@@ -298,9 +298,8 @@ class TestMemberDistances:
             assert np.array_equal(got, want)
 
 
-#: One recipe per length: L = 2, 4, 8, 16 and 32 take the byte planes
-#: (one, one, one, two and four of them) in large batches, L = 64 and
-#: small batches the word popcount.
+#: One recipe per length: L = 2, 4, 8, 16 and 32 in uint32 words, L = 64
+#: in uint64 words.
 KERNEL_RECIPES = [("H",), ("C2",), ("H", "C2"), ("C2", "C2"),
                   ("C2", "C2", "H"), ("C2", "C2", "C2")]
 
@@ -312,7 +311,7 @@ def kernel_inputs(draw):
     0 to 64 bits, so that some need fewer bytes than their word and some
     do not fit a uint32 word at all.  The values of shape (n,) and
     (n, k) are repeated `reps` times along their first axis; reps =
-    PLANE_MIN_VALUES sends nonempty batches through the byte planes."""
+    BLOCK gives batches as large as the profile builders pass."""
     members = member_array(ClassifierSpec(draw(st.sampled_from(
         KERNEL_RECIPES))))
     dtype = draw(st.sampled_from([members.dtype, np.dtype(np.uint64)]))
@@ -321,8 +320,8 @@ def kernel_inputs(draw):
     ones = (1 << len(members)) - 1  # a function of L bits, L = M
     fill = draw(st.sampled_from([None, 0, ones]))
     if fill is None:
-        # exact bit widths at and next to the byte edges that set the
-        # number of planes
+        # exact bit widths at and next to the byte edges, and past the
+        # 32-bit word that the cast check rejects
         widths = [w for w in (0, 1, 7, 8, 9, 15, 16, 17, 24, 25, 32, 33, 64)
                   if w <= 8 * dtype.itemsize]
         value = st.sampled_from(widths).flatmap(
@@ -334,7 +333,7 @@ def kernel_inputs(draw):
     values = np.array(ints, dtype=dtype).reshape(shape)
     if not shape:
         return members, ints, 1, values
-    reps = draw(st.sampled_from([1, PLANE_MIN_VALUES]))
+    reps = draw(st.sampled_from([1, BLOCK]))
     return members, ints, reps, np.concatenate([values] * reps)
 
 

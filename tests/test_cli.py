@@ -140,6 +140,30 @@ class TestSample:
                    "--seed", "1")[0] == 0
         assert run(capsys, "bases", "--recipe", "C2")[0] == 0
 
+    def test_negative_seed_env_var_is_usage_error(self, capsys,
+                                                  monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "-4")
+        code, out, err = run(capsys, "game", "--recipe", "C2,C2",
+                             "--trials", "5")
+        assert code == 1 and out == ""
+        assert err.rstrip().endswith(
+            "seed must be a non-negative integer, got '-4' "
+            f"(from {SEED_ENV_VAR})")
+
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--recipe", "C2,C2,H", "--quota", "1=5"),
+        ("game", "--recipe", "C2,C2", "--trials", "5"),
+    ])
+    def test_negative_seed_flag_is_usage_error(self, capsys, monkeypatch,
+                                               argv):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        code, out, err = run(capsys, *argv, "--seed", "-4")
+        assert code == 1 and out == ""
+        assert err.rstrip().endswith(
+            "argument --seed: seed must be a non-negative integer, "
+            "got '-4'")
+        assert SEED_ENV_VAR not in err
+
     def test_bad_seed_flag_does_not_blame_the_env_var(self, capsys,
                                                       monkeypatch):
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)

@@ -63,5 +63,12 @@ def test_traced_run_counts_and_restores(tracing, tmp_path, capsys):
     assert metrics["game.estimate_win_rate.rounds"] == TRIALS
     assert metrics["experiment.sample_attempts.attempts"] > 0
     assert metrics["experiment.exhaustive_profile.functions"] == 1 << 8
+    # the work-count identity of a traced census pass: every exhaustive
+    # value and every sampled attempt goes through the kernel and into
+    # the profile exactly once
+    assert (metrics["experiment.batch_thetas.functions"]
+            == metrics["experiment.add_batch.rows"]
+            == (1 << 8) + metrics["sampler.d1.attempts"]
+            + metrics["sampler.d9.attempts"])
     assert [_target(entry) for entry in tracing.ENTRY_POINTS] == originals
     assert basisket.game._sample_attempts is sample_attempts

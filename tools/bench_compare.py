@@ -6,14 +6,16 @@ Run from anywhere inside the repository.  Unpacks REV with
 ``git archive REV | tar -x`` into a temporary directory, then runs
 ``perfbench/run.py`` on that tree and on the working tree for every
 workload of BENCHMARK.json and for seeds 1 to 10, each run as long as
-its run_seconds, alternating which side runs first.  The record keeps, per
+its run_seconds, alternating which side runs first, and then once more
+per workload and side with --trace 1 (seed 1).  The record keeps, per
 workload and end-to-end metric of BENCHMARK.json, every run's value, the
 best of the runs (the minimum of a lower-is-better metric, the maximum of
 a higher-is-better one), the median and quartiles before and after, and
 how many seeds the working tree won; next to them each run's
-attempted/failed check counts, both commit SHAs, and the run environment
-(CPU, nproc, Python and numpy versions) that perfbench/run.py wrote on
-each side.
+attempted/failed check counts, the traced run's attempted/failed counts
+and failures, both commit SHAs, and the run environment (CPU, nproc,
+Python and numpy versions) that perfbench/run.py wrote on each side.
+Exits 1 if any run, traced or not, failed a check.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(1, 11)
+TRACE_SEED = 1
 
 
 def git(*args: str) -> str:
@@ -46,20 +49,22 @@ def unpack(rev: str, target: Path) -> None:
         raise RuntimeError(f"git archive {rev} failed")
 
 
-def bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    """The last stdout line of one perfbench/run.py run in `tree`, with
-    the environment from the full result that run.py wrote."""
+def bench(tree: Path, workload: str, seed: int, seconds: int,
+          trace: int = 0) -> tuple[dict, dict]:
+    """The last stdout line of one perfbench/run.py run in `tree` and
+    the full result that run.py wrote."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
+         "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"{tree}: {workload} seed {seed} failed: "
-                           f"{proc.stderr.strip()[-2000:]}")
+        raise RuntimeError(f"{tree}: {workload} seed {seed} trace {trace} "
+                           f"failed: {proc.stderr.strip()[-2000:]}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    full = tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
-    result["environment"] = json.loads(full.read_text())["environment"]
-    return result
+    full = (tree / "perfbench" / "out"
+            / f"{workload}-seed{seed}-trace{trace}.json")
+    return result, json.loads(full.read_text())
 
 
 def summarize(runs: list[dict], specs: list[dict]) -> dict:
@@ -114,22 +119,30 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         base = Path(tmp)
         unpack(args.base, base)
+        sides = [("before", base), ("after", ROOT)]
         for workload in workloads:
             runs = {"before": [], "after": []}
             for i, seed in enumerate(SEEDS):
-                sides = [("before", base), ("after", ROOT)]
                 for side, tree in sides[::-1] if i % 2 else sides:
-                    result = bench(tree, workload, seed, seconds)
-                    record[side]["environment"] = result.pop("environment")
+                    result, full = bench(tree, workload, seed, seconds)
+                    record[side]["environment"] = full["environment"]
                     runs[side].append(result)
                     print(f"{workload} seed {seed} {side}: "
                           f"{result['metrics']['pass_s']['value']:.4f}"
                           f" s/pass", file=sys.stderr)
             entry = {side: summarize(r, specs) for side, r in runs.items()}
             entry["after_vs_before"] = compare(entry, specs)
+            entry["traced"] = {"seed": TRACE_SEED}
+            for side, tree in sides:
+                _, full = bench(tree, workload, TRACE_SEED, seconds, trace=1)
+                entry["traced"][side] = {key: full[key] for key in
+                                         ("attempted", "failed", "failures")}
+                print(f"{workload} traced {side}: {full['failed']} failed",
+                      file=sys.stderr)
             record["workloads"][workload] = entry
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    failed = sum(sum(e[side]["failed"]) for e in record["workloads"].values()
+    failed = sum(sum(e[side]["failed"]) + e["traced"][side]["failed"]
+                 for e in record["workloads"].values()
                  for side in ("before", "after"))
     print(f"wrote {args.out}; {failed} failed checks", file=sys.stderr)
     return 1 if failed else 0

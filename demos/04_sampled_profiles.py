@@ -12,7 +12,6 @@ Run with: python demos/04_sampled_profiles.py
 from basisket import (
     interval_summary,
     probe_suite,
-    profile_rho,
     stratified_sample_profile,
 )
 from basisket.report import ascii_histogram, svg_histogram
@@ -33,7 +32,7 @@ for name, report in probe_suite(RECIPE):
     print(f"  {name:<24} distance {report.nearest.distance:2d} "
           f"theta {report.theta:.6f}")
 
-summary = interval_summary(profile, profile_rho(RECIPE))
+summary = interval_summary(profile)
 print(f"\nregion verdicts (consistent = {summary.consistent}):")
 for region in summary.regions:
     print(f"  [{region.low:2d}, {region.high:2d}] {region.expectation}: "

@@ -10,7 +10,6 @@ guessing game built on top of it.
 __version__ = "0.1.0"
 
 from .patterns import (
-    NOT_UNIFORM,
     BasisViolation,
     NearestSet,
     PatternBasis,
@@ -44,7 +43,6 @@ from .experiment import (
     interval_summary,
     merge_profiles,
     probe_suite,
-    profile_rho,
     stratified_sample_profile,
 )
 from .game import (
@@ -59,7 +57,7 @@ from .game import (
 
 __all__ = [
     "BasisViolation", "ClassifierSpec", "DistanceProfile", "GameConfig",
-    "IntervalSummary", "NOT_UNIFORM", "NearestSet", "PatternBasis",
+    "IntervalSummary", "NearestSet", "PatternBasis",
     "PatternVector", "RoundRecord", "ThresholdReport", "WinRate",
     "alice_interval_decide", "apply_c2_factor", "apply_classifier",
     "apply_hadamard_factor", "basis_product", "bob_pick",
@@ -68,6 +66,6 @@ __all__ = [
     "estimate_win_rate", "exhaustive_profile", "extended_product_eval",
     "hamming_distance", "initial_amplitudes", "interval_summary",
     "merge_profiles", "outcome_distribution", "pattern_product", "play_round",
-    "probe_suite", "profile_rho", "rho_recurrence",
+    "probe_suite", "rho_recurrence",
     "stratified_sample_profile", "validate_basis",
 ]

@@ -64,6 +64,8 @@ class ClassifierSpec:
     factors: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        # any sequence of factors; stored as a tuple so the spec hashes
+        object.__setattr__(self, "factors", tuple(self.factors))
         if not self.factors:
             raise ValueError("classifier needs at least one factor")
         for f in self.factors:

@@ -32,7 +32,6 @@ from .experiment import (
     exhaustive_profile,
     interval_summary,
     probe_suite,
-    profile_rho,
     stratified_sample_profile,
 )
 from .game import (ALICE_STRATEGIES, BOB_STRATEGIES, GameConfig,
@@ -90,9 +89,9 @@ def _write_or_print(text: str, out: str | None) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _emit_profile(profile, args, manifest: RunManifest, runtime: float) -> None:
-    body = (profile_to_json(profile, runtime) if args.format == "json"
-            else profile_to_csv(profile))
+def _emit_profile(profile, args, manifest: RunManifest) -> None:
+    body = (profile_to_json(profile, manifest.runtime_seconds)
+            if args.format == "json" else profile_to_csv(profile))
     _write_or_print(body, args.out)
     if args.out:
         manifest.outputs.append(args.out)
@@ -116,7 +115,8 @@ def cmd_bases(args) -> int:
     violation = validate_basis(basis.members)
     print(str(basis))
     rho = class_rho(basis)
-    print(f"# rank {basis.rank}, zero-count {rho}")
+    print(f"# rank {basis.rank}, zero-count "
+          f"{'not-uniform' if rho is None else rho}")
     if violation is not None:
         print(f"# INVALID: {violation}")
         return 1
@@ -144,9 +144,8 @@ def cmd_enumerate(args) -> int:
     with Stopwatch() as timer:
         profile = exhaustive_profile(spec.factors)
     manifest = RunManifest("enumerate", args.recipe, "exhaustive", None,
-                           tool_version=__version__,
                            runtime_seconds=timer.elapsed)
-    _emit_profile(profile, args, manifest, timer.elapsed)
+    _emit_profile(profile, args, manifest)
     return 0
 
 
@@ -158,16 +157,15 @@ def cmd_sample(args) -> int:
             spec.factors, quotas, args.seed,
             attempt_factor=args.attempt_factor)
     manifest = RunManifest("sample", args.recipe, "sampled", args.seed,
-                           quotas=quotas, tool_version=__version__,
-                           runtime_seconds=timer.elapsed)
-    _emit_profile(profile, args, manifest, timer.elapsed)
+                           quotas=quotas, runtime_seconds=timer.elapsed)
+    _emit_profile(profile, args, manifest)
     if profile.short_buckets:
         print(f"# short buckets (quota unmet): {list(profile.short_buckets)}")
     print("# probes:")
     for name, report in probe_suite(spec.factors):
         print(f"#   {name}: distance {report.nearest.distance} "
               f"theta {report.theta:.6f}")
-    summary = interval_summary(profile, profile_rho(spec.factors))
+    summary = interval_summary(profile)
     for region in summary.regions:
         status = "consistent" if region.consistent else \
             f"violated at {list(region.offending)}"
@@ -192,7 +190,7 @@ def cmd_tables(args) -> int:
 
 def cmd_game(args) -> int:
     config = GameConfig(
-        recipe=tuple(ClassifierSpec.parse(args.recipe).factors),
+        recipe=ClassifierSpec.parse(args.recipe).factors,
         bob=args.bob, alice=args.alice,
         trials=args.trials, seed=args.seed,
         bob_distance=args.distance)

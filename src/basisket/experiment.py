@@ -65,25 +65,30 @@ class Bucket(NamedTuple):
 class DistanceProfile:
     """``nearest[d, k]`` counts the functions at class distance d with k
     nearest members.  Each has theta = k (L - 2d)**2 / L**2, so every
-    bucket's count, mean, minimum and maximum follow exactly."""
+    bucket's count, mean, minimum and maximum follow exactly.  The
+    length L is the recipe's, read off the table's shape."""
 
     recipe: tuple[str, ...]
     mode: str  # "exhaustive" | "sampled"
-    length: int
-    nearest: np.ndarray  # int64, shape (length + 1, length + 1)
+    nearest: np.ndarray  # int64, shape (L + 1, L + 1)
     seed: int | None = None
     quotas: dict[int, int] = field(default_factory=dict)
     short_buckets: tuple[int, ...] = ()
 
     @classmethod
-    def empty(cls, recipe: Sequence[str], mode: str, length: int,
+    def empty(cls, recipe: Sequence[str], mode: str,
               seed: int | None = None,
               quotas: Mapping[int, int] | None = None) -> "DistanceProfile":
-        size = length + 1
+        """A zero table sized by the recipe (ValueError if unknown)."""
+        size = ClassifierSpec(recipe).dim + 1
         return cls(
-            recipe=tuple(recipe), mode=mode, length=length,
+            recipe=tuple(recipe), mode=mode,
             nearest=np.zeros((size, size), dtype=np.int64),
             seed=seed, quotas=dict(quotas or {}))
+
+    @property
+    def length(self) -> int:
+        return len(self.nearest) - 1
 
     @property
     def counts(self) -> np.ndarray:
@@ -158,7 +163,7 @@ def exhaustive_profile(
     `progress` receives (functions done, functions total) after each
     block.
     """
-    spec = ClassifierSpec(tuple(recipe))
+    spec = ClassifierSpec(recipe)
     if spec.total_bits > EXHAUSTIVE_RANK_CAP:
         raise ValueError(
             f"rank {spec.total_bits} exceeds the exhaustive cap of "
@@ -166,7 +171,7 @@ def exhaustive_profile(
     members = member_array(spec)
     length = spec.dim
     total = 1 << length
-    profile = DistanceProfile.empty(recipe, "exhaustive", length)
+    profile = DistanceProfile.empty(recipe, "exhaustive")
     for start in range(0, total, BLOCK):
         stop = min(start + BLOCK, total)
         profile.add_batch(*_batch_thetas(spec, members, range(start, stop)))
@@ -323,7 +328,7 @@ def stratified_sample_profile(
     (most flips land nearer some other member), so filling those buckets
     needs an attempt_factor far above the default.
     """
-    spec = ClassifierSpec(tuple(recipe))
+    spec = ClassifierSpec(recipe)
     if spec.total_bits <= EXHAUSTIVE_RANK_CAP:
         raise ValueError(
             f"rank {spec.total_bits} is exhaustively enumerable; "
@@ -340,7 +345,7 @@ def stratified_sample_profile(
         raise ValueError(f"attempt_factor must be >= 1, got {attempt_factor}")
     rng = np.random.default_rng(seed)
     profile = DistanceProfile.empty(
-        recipe, "sampled", length, seed=seed, quotas=per_distance_quota)
+        recipe, "sampled", seed=seed, quotas=per_distance_quota)
     short: list[int] = []
     for d in sorted(per_distance_quota):
         quota = per_distance_quota[d]
@@ -371,7 +376,7 @@ def probe_suite(
     complements sit at distance 2**(n-1), covering the far region that
     random flip sampling cannot reach.
     """
-    spec = ClassifierSpec(tuple(recipe))
+    spec = ClassifierSpec(recipe)
     return [(name, classification_threshold(spec, h))
             for name, h in probe_functions(spec.basis())]
 
@@ -417,18 +422,19 @@ def regions(length: int) -> tuple[tuple[int, int], ...]:
     return (1, b1), (b1 + 1, b2 - 1), (b2, length)
 
 
-def interval_summary(profile: DistanceProfile, rho: int | str | None) -> IntervalSummary:
+def interval_summary(profile: DistanceProfile) -> IntervalSummary:
     """Classify populated buckets into the three standard regions.
 
     Region 1 (1 .. L/8): mean above 0.5.  Region 2 (L/8+1 .. L/2-1):
     mean strictly between 0 and 0.5.  Region 3 (L/2 .. L): mean zero,
-    except the rho bucket when the class has a uniform zero count, where
-    the mean must be 1.  Empty buckets are skipped.  Monotonicity
-    violations are reported informationally and never fail a region.
+    except the rho bucket when the recipe's class has a uniform zero
+    count (see class_rho), where the mean must be 1.  Empty buckets are
+    skipped.  Monotonicity violations are reported informationally and
+    never fail a region.
     """
     if profile.total() == 0:
         raise ValueError("profile is empty")
-    uniform_rho = rho if isinstance(rho, int) else None
+    uniform_rho = class_rho(ClassifierSpec(profile.recipe).basis())
 
     def check(low: int, high: int, expectation: str) -> RegionVerdict:
         bad = []
@@ -467,10 +473,10 @@ def merge_profiles(a: DistanceProfile, b: DistanceProfile) -> DistanceProfile:
     """Bucket-wise sum of two shards of the same run, exact in any order.
     The merge has no one seed (each shard's manifest keeps its own) and
     sums the shards' quotas per distance."""
-    if (a.recipe, a.mode, a.length) != (b.recipe, b.mode, b.length):
+    if (a.recipe, a.mode) != (b.recipe, b.mode):
         raise ValueError(
             f"cannot merge profiles with different metadata: "
-            f"{(a.recipe, a.mode, a.length)} vs {(b.recipe, b.mode, b.length)}")
+            f"{(a.recipe, a.mode)} vs {(b.recipe, b.mode)}")
     if a.mode == "sampled" and a.seed is not None and a.seed == b.seed:
         raise ValueError(
             f"sampled shards share seed {a.seed}: they hold the same "
@@ -478,10 +484,5 @@ def merge_profiles(a: DistanceProfile, b: DistanceProfile) -> DistanceProfile:
     quotas = {d: a.quotas.get(d, 0) + b.quotas.get(d, 0)
               for d in sorted(a.quotas.keys() | b.quotas.keys())}
     return DistanceProfile(
-        a.recipe, a.mode, a.length, a.nearest + b.nearest, quotas=quotas,
+        a.recipe, a.mode, a.nearest + b.nearest, quotas=quotas,
         short_buckets=tuple(sorted(set(a.short_buckets) | set(b.short_buckets))))
-
-
-def profile_rho(recipe: Sequence[str]) -> int | str:
-    """Zero-count uniformity of the recipe's basis (see class_rho)."""
-    return class_rho(ClassifierSpec(tuple(recipe)).basis())

@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -102,15 +101,6 @@ def alice_interval_decide(d, n: int, rho: int | None = None):
     return yes if yes.ndim else bool(yes)
 
 
-@lru_cache(maxsize=None)
-def _game_context(recipe: tuple[str, ...]):
-    """Per-recipe immutables shared across rounds."""
-    spec = ClassifierSpec(recipe)
-    basis = spec.basis()
-    rho = class_rho(basis)
-    return spec, basis, member_array(spec), rho if isinstance(rho, int) else None
-
-
 def _pick(rng: np.random.Generator, recipe: tuple[str, ...], strategy: str,
           distance: int | None, size: int) -> np.ndarray:
     """Values of `size` functions outside the class, picked per strategy,
@@ -125,7 +115,8 @@ def _pick(rng: np.random.Generator, recipe: tuple[str, ...], strategy: str,
     deterministic probe (all-ones, all-zeros, member complements) at
     that distance.
     """
-    spec, basis, members, _ = _game_context(recipe)
+    spec = ClassifierSpec(recipe)
+    members = member_array(spec)
     length = spec.dim
     if strategy == "pivot":
         strategy, distance = "at_distance", regions(length)[0][1]
@@ -162,7 +153,7 @@ def _pick(rng: np.random.Generator, recipe: tuple[str, ...], strategy: str,
         pending = pending[~found]
         attempted += per_pick
     if pending.size:
-        probes = np.array([h.value for _, h in probe_functions(basis)],
+        probes = np.array([h.value for _, h in probe_functions(spec.basis())],
                           dtype=members.dtype)
         matching = probes[member_distances(members, probes)[1] == distance]
         if not matching.size:
@@ -186,8 +177,7 @@ def bob_pick(
     the exact distance is unreachable by flipping within the attempt
     cap.  Returns the function together with its exact nearest set.
     """
-    recipe = tuple(recipe)
-    spec = _game_context(recipe)[0]
+    spec = ClassifierSpec(recipe)
     value = _pick(np.random.default_rng(seed), recipe, strategy, distance, 1)
     h = PatternVector(int(value[0]), spec.dim)
     return h, classification_threshold(spec, h).nearest
@@ -209,7 +199,8 @@ def _play_block(config: GameConfig, rng: np.random.Generator,
                 size: int) -> _Block:
     """`size` rounds: Bob's picks, then distances, then one measurement
     and one verdict per round."""
-    spec, _, members, rho = _game_context(config.recipe)
+    spec = ClassifierSpec(config.recipe)
+    members = member_array(spec)
     values = _pick(rng, config.recipe, config.bob, config.bob_distance, size)
     dist, dmin = member_distances(members, values)  # dist[k, round]
     nearest = dist == dmin
@@ -225,7 +216,8 @@ def _play_block(config: GameConfig, rng: np.random.Generator,
     threshold = np.ceil(rng.random(size) * spec.dim ** 2).astype(np.int16)
     outcome = np.count_nonzero(cdf < threshold, axis=0)
     if config.alice == "interval_threshold":
-        alice_yes = alice_interval_decide(dmin, spec.total_bits, rho)
+        alice_yes = alice_interval_decide(dmin, spec.total_bits,
+                                          class_rho(spec.basis()))
     else:
         alice_yes = np.full(size, config.alice == "always_yes")
     return _Block(
@@ -259,7 +251,7 @@ def _records(block: _Block, length: int) -> Iterator[RoundRecord]:
 def play_round(config: GameConfig, round_seed) -> RoundRecord:
     """One full round; bit-for-bit reproducible from its seed."""
     block = _play_block(config, np.random.default_rng(round_seed), 1)
-    return next(_records(block, _game_context(config.recipe)[0].dim))
+    return next(_records(block, ClassifierSpec(config.recipe).dim))
 
 
 @dataclass(frozen=True)
@@ -294,7 +286,7 @@ def estimate_win_rate(config: GameConfig) -> WinRate:
 def write_rounds(config: GameConfig, fh: TextIO) -> WinRate:
     """estimate_win_rate(config), writing each block's rounds to `fh` as
     they are played: one JSON line per RoundRecord, without theta."""
-    length = _game_context(config.recipe)[0].dim
+    length = ClassifierSpec(config.recipe).dim
 
     def logged() -> Iterator[_Block]:
         for block in _blocks(config):

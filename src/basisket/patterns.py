@@ -258,21 +258,15 @@ def distance_from_class(basis: PatternBasis, h: PatternVector) -> NearestSet:
     return NearestSet(dmin, frozenset(k for k, d in enumerate(dists) if d == dmin))
 
 
-#: Sentinel returned by class_rho when members have differing zero counts.
-NOT_UNIFORM = "not-uniform"
-
-
-def class_rho(basis: PatternBasis) -> int | str:
-    """Common zero count of all members, or NOT_UNIFORM.
+def class_rho(basis: PatternBasis) -> int | None:
+    """Common zero count of all members, or None when they differ.
 
     For the pure-Q2 product bases of rank 2m the value follows the
     recurrence z_m = 2*z_{m-1} + 4**(m-1) with z_1 = 3, giving 3, 10, 36
     for m = 1, 2, 3.
     """
     zeros = {m.zero_count() for m in basis.members}
-    if len(zeros) == 1:
-        return zeros.pop()
-    return NOT_UNIFORM
+    return zeros.pop() if len(zeros) == 1 else None
 
 
 def rho_recurrence(m: int) -> int:

@@ -17,9 +17,9 @@ import math
 from dataclasses import dataclass
 
 from .classifier import ClassifierSpec, classification_threshold
-from .experiment import (exhaustive_profile, probe_suite, profile_rho,
+from .experiment import (exhaustive_profile, probe_suite,
                          stratified_sample_profile)
-from .patterns import PatternVector, rho_recurrence
+from .patterns import PatternVector, class_rho, rho_recurrence
 
 #: Comparison tolerance for two-decimal reference cells.
 CELL_TOL = 0.005
@@ -123,7 +123,7 @@ def _cells(which: int):
             spec = ClassifierSpec(recipe)
             all_ones = classification_threshold(
                 spec, PatternVector((1 << spec.dim) - 1, spec.dim))
-            yield name, 0, rho, profile_rho(recipe), EXACT_TOL
+            yield name, 0, rho, class_rho(spec.basis()), EXACT_TOL
             yield name, 0, rho, rho_recurrence(len(recipe)), EXACT_TOL
             yield name, rho, rho, all_ones.nearest.distance, EXACT_TOL
             yield name, rho, 1.0, all_ones.theta, EXACT_TOL

@@ -5,7 +5,8 @@ max_theta; CSV is export-only.  The JSON envelope carries the recipe,
 mode, length, seed, quotas, short buckets and runtime next to the same
 rows, each with one more key, ``"nearest": {"k": n, ...}``, the function
 count n of each nearest-set size k at that distance; reading a file
-back rebuilds the exact (distance, |N|) table from it.  Charts show two
+back checks its mode and its recipe's length, then rebuilds the exact
+(distance, |N|) table from its rows.  Charts show two
 series per distance, function count and mean threshold, as fixed-width
 ASCII bars or a standalone SVG.
 """
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .experiment import DistanceProfile
 
 PROFILE_CSV_HEADER = ["distance", "count", "mean_theta", "min_theta", "max_theta"]
@@ -38,7 +40,6 @@ class RunManifest:
     seed: int | None
     quotas: dict[int, int] = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
-    tool_version: str = ""
     runtime_seconds: float = 0.0
 
     def to_dict(self) -> dict:
@@ -49,7 +50,7 @@ class RunManifest:
             "seed": self.seed,
             "quotas": {str(k): v for k, v in sorted(self.quotas.items())},
             "outputs": list(self.outputs),
-            "tool_version": self.tool_version,
+            "tool_version": __version__,
             "runtime_seconds": self.runtime_seconds,
         }
 
@@ -100,11 +101,16 @@ def profile_to_json(profile: DistanceProfile, runtime: float = 0.0) -> str:
 
 def profile_from_json(text: str) -> DistanceProfile:
     doc = json.loads(text)
+    if doc["mode"] not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown profile mode {doc['mode']!r}; "
+                         "expected exhaustive or sampled")
     profile = DistanceProfile.empty(
-        tuple(doc["recipe"].split(",")), doc["mode"], doc["length"],
-        seed=doc["seed"],
+        tuple(doc["recipe"].split(",")), doc["mode"], seed=doc["seed"],
         quotas={int(k): v for k, v in doc["quotas"].items()})
     length = profile.length
+    if doc["length"] != length:
+        raise ValueError(f"length {doc['length']!r} is not the length "
+                         f"{length} of recipe {doc['recipe']}")
     seen = set()
     for i, row in enumerate(doc["rows"]):
         d = row["distance"]

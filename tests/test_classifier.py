@@ -54,6 +54,12 @@ class TestSpec:
         assert ClassifierSpec(("H", "C2")).basis() is \
             ClassifierSpec.parse("H,C2").basis()
 
+    def test_factors_of_any_sequence_are_a_tuple(self):
+        spec = ClassifierSpec(["C2", "C2"])
+        assert spec.factors == ("C2", "C2")
+        assert spec == ClassifierSpec(("C2", "C2"))
+        assert spec.basis() is ClassifierSpec(("C2", "C2")).basis()
+
     def test_unknown_factor(self):
         with pytest.raises(ValueError, match="unknown classifier factor"):
             ClassifierSpec(("H", "C3"))

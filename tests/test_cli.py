@@ -26,6 +26,11 @@ class TestBases:
         assert len([l for l in lines if set(l) <= {"0", "1"}]) == 16
         assert "zero-count 10" in out
 
+    def test_mixed_class_has_no_uniform_zero_count(self, capsys):
+        code, out, _ = run(capsys, "bases", "--recipe", "H,C2")
+        assert code == 0
+        assert out.splitlines()[-1] == "# rank 3, zero-count not-uniform"
+
     def test_bad_recipe_is_usage_error(self, capsys):
         code, _, err = run(capsys, "bases", "--recipe", "H,X")
         assert code == 1

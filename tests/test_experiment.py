@@ -13,8 +13,8 @@ from basisket import (
     exhaustive_profile,
     interval_summary,
     merge_profiles,
+    class_rho,
     probe_suite,
-    profile_rho,
     stratified_sample_profile,
 )
 from basisket.classifier import member_array
@@ -116,7 +116,7 @@ class TestExhaustiveProfile:
         spec = ClassifierSpec(("C2", "H"))
         basis = spec.basis()
         profile = exhaustive_profile(spec.factors)
-        check = DistanceProfile.empty(spec.factors, "exhaustive", 8)
+        check = DistanceProfile.empty(spec.factors, "exhaustive")
         thetas: dict[int, list[float]] = {}
         for value in range(256):
             nearest = distance_from_class(basis, PatternVector(value, 8))
@@ -313,7 +313,7 @@ class TestProbeSuite:
 class TestIntervalSummary:
     def test_rank4_exhaustive_regions(self):
         profile = exhaustive_profile(("C2", "C2"))
-        summary = interval_summary(profile, profile_rho(("C2", "C2")))
+        summary = interval_summary(profile)
         r1, r2, r3 = summary.regions
         assert (r1.low, r1.high, r1.consistent) == (1, 2, True)
         assert (r2.low, r2.high, r2.consistent) == (3, 7, True)
@@ -337,9 +337,9 @@ class TestIntervalSummary:
         assert regions(length) == bounds
 
     def test_empty_profile_rejected(self):
-        empty = DistanceProfile.empty(("H",), "exhaustive", 2)
+        empty = DistanceProfile.empty(("H",), "exhaustive")
         with pytest.raises(ValueError, match="empty"):
-            interval_summary(empty, None)
+            interval_summary(empty)
 
 
 class TestMergeProfiles:
@@ -391,8 +391,10 @@ class TestMergeProfiles:
         assert np.array_equal(merged.counts, 2 * a.counts)
 
 
-class TestProfileRho:
+class TestRecipeRho:
     def test_values(self):
-        assert profile_rho(("C2",)) == 3
-        assert profile_rho(("C2", "C2")) == 10
-        assert profile_rho(("H", "C2")) == "not-uniform"
+        def rho(recipe):
+            return class_rho(ClassifierSpec(recipe).basis())
+        assert rho(("C2",)) == 3
+        assert rho(("C2", "C2")) == 10
+        assert rho(("H", "C2")) is None

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from basisket import (
+    ClassifierSpec,
     GameConfig,
     alice_interval_decide,
     bob_pick,
+    class_rho,
     distance_from_class,
     estimate_win_rate,
     play_round,
@@ -16,7 +18,6 @@ from basisket.experiment import regions
 from basisket.game import (
     ROUND_BLOCK,
     _blocks,
-    _game_context,
     _play_block,
     _records,
 )
@@ -101,7 +102,7 @@ class TestBobPick:
             bob_pick(("H", "H"), "pivot", seed=5)
 
     def test_uniform_random_avoids_the_class(self):
-        _, basis, _, _ = _game_context(RANK4)
+        basis = ClassifierSpec(RANK4).basis()
         for seed in range(5):
             h, nearest = bob_pick(RANK4, "uniform_random", seed=seed)
             assert nearest.distance >= 1
@@ -133,7 +134,7 @@ class TestPlayRound:
         assert a == b
 
     def test_ground_truth_is_exact(self):
-        _, basis, _, _ = _game_context(RANK4)
+        basis = ClassifierSpec(RANK4).basis()
         config = GameConfig(RANK4, "at_distance", "interval_threshold",
                             trials=1, seed=0, bob_distance=2)
         for round_seed in range(10):
@@ -199,6 +200,13 @@ class TestEstimateWinRate:
                             trials=60, seed=9)
         assert estimate_win_rate(config) == estimate_win_rate(config)
 
+    def test_recipe_may_be_a_list(self):
+        # the spec stores its factors as a tuple, so a list recipe hashes
+        as_list, as_tuple = (
+            GameConfig(recipe, "pivot", "interval_threshold", trials=60, seed=9)
+            for recipe in (list(RANK4), RANK4))
+        assert estimate_win_rate(as_list) == estimate_win_rate(as_tuple)
+
 
 class TestBlockEngine:
     @pytest.mark.parametrize("recipe,bob,distance", [
@@ -209,7 +217,9 @@ class TestBlockEngine:
         (("C2", "C2", "C2"), "pivot", None),
     ], ids=["at_distance_7", "rho_fallback", "pivot", "uniform", "pivot_64"])
     def test_records_match_the_exact_nearest_set(self, recipe, bob, distance):
-        spec, basis, _, rho = _game_context(recipe)
+        spec = ClassifierSpec(recipe)
+        basis = spec.basis()
+        rho = class_rho(basis)
         config = GameConfig(recipe, bob, "interval_threshold", trials=600,
                             seed=21, bob_distance=distance)
         length = spec.dim

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from basisket import (
-    NOT_UNIFORM,
     PatternVector,
     basis_product,
     build_basis_from_recipe,
@@ -292,7 +291,7 @@ class TestClassRho:
         assert [rho_recurrence(m) for m in (1, 2, 3)] == [3, 10, 36]
 
     def test_b1_not_uniform(self):
-        assert class_rho(builtin_basis("B1")) == NOT_UNIFORM
+        assert class_rho(builtin_basis("B1")) is None
 
 
 class TestParsingAndPrinting:

@@ -24,7 +24,7 @@ def test_exhaustive_tables_enumerate_each_recipe_once(monkeypatch):
 def test_table_7_bounds_are_open_and_empty_buckets_fail(monkeypatch):
     # every bucket strictly inside its region except d=8, whose mean is
     # 2 * (1 - 16/32)**2 = 0.5 exactly (the upper bound), and d=9, empty
-    profile = DistanceProfile.empty(reference.TABLE_7_RECIPE, "sampled", 32)
+    profile = DistanceProfile.empty(reference.TABLE_7_RECIPE, "sampled")
     for d in range(1, 16):
         profile.nearest[d, 1] = 1
     profile.nearest[8] = 0

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from basisket import exhaustive_profile, stratified_sample_profile
+from basisket import __version__, exhaustive_profile, stratified_sample_profile
 from basisket.report import (
     PROFILE_CSV_HEADER,
     RunManifest,
@@ -126,6 +126,27 @@ class TestJson:
                                              "nearest-set size 1 appears twice"):
             profile_from_json(json.dumps(doc))
 
+    def test_length_other_than_the_recipes_rejected(self, profile):
+        # every row fits the stored length 8, but C2,C2 has length 16
+        doc = json.loads(profile_to_json(profile))
+        doc["recipe"] = "C2,C2"
+        with pytest.raises(ValueError,
+                           match="length 8 is not the length 16 of recipe C2,C2"):
+            profile_from_json(json.dumps(doc))
+
+    def test_unknown_factor_rejected(self, profile):
+        doc = json.loads(profile_to_json(profile))
+        doc["recipe"] = "X,Y"
+        with pytest.raises(ValueError, match="unknown classifier factor 'X'"):
+            profile_from_json(json.dumps(doc))
+
+    def test_unknown_mode_rejected(self, sampled):
+        # merge_profiles guards only mode "sampled" against a shared seed
+        doc = json.loads(profile_to_json(sampled))
+        doc["mode"] = "Sampled"
+        with pytest.raises(ValueError, match="unknown profile mode 'Sampled'"):
+            profile_from_json(json.dumps(doc))
+
     def test_document_shape(self, profile):
         doc = json.loads(profile_to_json(profile))
         assert doc["recipe"] == "H,C2"
@@ -173,7 +194,7 @@ class TestCharts:
 
     def test_empty_profile_rejected(self):
         from basisket import DistanceProfile
-        empty = DistanceProfile.empty(("H",), "exhaustive", 2)
+        empty = DistanceProfile.empty(("H",), "exhaustive")
         with pytest.raises(ValueError, match="empty"):
             ascii_histogram(empty)
 
@@ -181,9 +202,10 @@ class TestCharts:
 class TestManifestAndStopwatch:
     def test_manifest_dict(self):
         manifest = RunManifest("sample", "C2,C2,H", "sampled", seed=42,
-                               quotas={2: 10, 1: 10}, tool_version="0.1.0")
+                               quotas={2: 10, 1: 10})
         doc = manifest.to_dict()
         assert doc["seed"] == 42
+        assert doc["tool_version"] == __version__
         assert list(doc["quotas"]) == ["1", "2"]  # sorted, string keys
         json.dumps(doc)  # must be serializable as-is
 

@@ -3,8 +3,10 @@
     python3 tools/bench_compare.py --base REV --out BENCH_<n>.json
 
 Run from anywhere inside the repository.  Unpacks REV with
-``git archive REV | tar -x`` into a temporary directory, then runs
-``perfbench/run.py`` on that tree and on the working tree for every
+``git archive REV | tar -x`` into a temporary directory, and the working
+tree the same way into another: its tracked files as ``git stash create``
+commits them, or HEAD when the tree is clean.  Untracked files are not
+measured.  It then runs ``perfbench/run.py`` on both trees for every
 workload of BENCHMARK.json and for seeds 1 to 10, each run as long as
 its run_seconds, alternating which side runs first, and then once more
 per workload and side with --trace 1 (seed 1).  The record keeps, per
@@ -116,10 +118,11 @@ def main() -> int:
                 "higher-is-better ones",
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        base = Path(tmp)
-        unpack(args.base, base)
-        sides = [("before", base), ("after", ROOT)]
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as before, \
+            tempfile.TemporaryDirectory(prefix="bench-change-") as after:
+        unpack(args.base, Path(before))
+        unpack(git("stash", "create") or "HEAD", Path(after))
+        sides = [("before", Path(before)), ("after", Path(after))]
         for workload in workloads:
             runs = {"before": [], "after": []}
             for i, seed in enumerate(SEEDS):

@@ -13,7 +13,10 @@ from them with ``ket_probabilities``.  A function of L bits is one word:
 uint32 for L <= 32, uint64 at L = 64 (``word_dtype``).  The kernel is
 member-major: members run along the first axis of its output, so the
 minimum over members and the count of nearest members are elementwise
-passes over whole rows of values.
+passes over whole rows of values.  It XORs a few members at a time, so
+its word temporary stays within ``XOR_BUDGET`` (256 KB) whatever the
+member and value counts: the whole XOR of 8192 values at L = 64 would be
+4 MB, and the call peaks at 0.75 MB of heap with its 512 KB output.
 
 Exhaustive blocks are consecutive values, and those need no popcount
 of their own.  A value splits as h = hi * 2**(L/2) + lo, so
@@ -23,7 +26,7 @@ both terms for every half-word, two uint8 (M, 2**(L/2)) tables made by
 block's distances from them in one broadcast: 8192 C2,C2,H values in
 about 65-115 us of ``_batch_thetas`` against 210-370 us through the
 word popcount on a shared 2-vCPU Xeon (the L = 32 tables take about
-3-6 ms to build, 4 MB).
+3-6 ms to build, 4 MB, with a heap peak of 4.5 MB).
 
 The in-place butterflies (``apply_classifier``) and the Kronecker matrix
 (``dense_unitary``) are the two oracles that closed form is tested
@@ -51,6 +54,9 @@ FACTOR_BITS = {"H": 1, "C2": 2}
 
 #: Classifier factor -> basis factor correspondence.
 FACTOR_TO_BASIS = {"H": "B1", "C2": "Q2"}
+
+#: Bytes of member-XOR-value words that member_distances holds at once.
+XOR_BUDGET = 1 << 18
 
 _H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]]) / sqrt(2.0)
 _C2_MATRIX = np.full((4, 4), 0.5)
@@ -213,7 +219,11 @@ def member_distances(members: np.ndarray,
     rather than one short inner loop of M per value along a last axis.
     Every value takes one word popcount, ``np.bitwise_count`` of the
     member XOR the value, in uint32 words up to L = 32 and uint64 words
-    at L = 64.
+    at L = 64.  The members go a few at a time, as many as keep their
+    XOR words within XOR_BUDGET bytes (at least one), each chunk counted
+    straight into its rows of ``dist``; so the only temporary beyond the
+    uint8 output is one chunk of words, whatever M and the value count.
+    A game block, a probe or one value fits one chunk.
     """
     values, bits = np.asarray(values), 8 * members.itemsize
     if values.dtype != members.dtype:
@@ -221,7 +231,10 @@ def member_distances(members: np.ndarray,
             raise ValueError(f"values do not fit the {bits}-bit word")
         values = values.astype(members.dtype)
     column = members.reshape(members.shape + (1,) * values.ndim)
-    dist = np.bitwise_count(column ^ values)
+    dist = np.empty(members.shape + values.shape, dtype=np.uint8)
+    step = max(1, XOR_BUDGET // max(1, values.nbytes))
+    for k in range(0, len(members), step):
+        np.bitwise_count(column[k:k + step] ^ values, out=dist[k:k + step])
     return dist, dist.min(axis=0)
 
 

@@ -289,16 +289,22 @@ def _sample_attempts(rng: np.random.Generator, members: np.ndarray,
 
     Each attempt draws a uniform member, then a uniform rank in
     [0, C(length, d)) that `_unrank_subsets` maps to the d bits to flip.
-    Both draws cover the whole batch; the ranks are then unranked and
-    flipped into the picked members BLOCK at a time, so the unranker's
-    int64 temporaries stay BLOCK long whatever `count` is.
+    Every pick of the batch is drawn before any rank, as by two
+    whole-batch draws (a bounded int64 draw split into blocks gives the
+    same numbers), but BLOCK at a time: the picks straight into the
+    batch's words, then the ranks, each block unranked and flipped in.
+    So the int64 draws and the unranker's temporaries stay BLOCK long
+    whatever `count` is, and the words are the only batch-sized array.
     """
-    picks = rng.integers(0, len(members), size=count)
-    ranks = rng.integers(0, comb(length, d), size=count, dtype=np.int64)
-    values = members.take(picks)
-    for start in range(0, count, BLOCK):
-        block = slice(start, start + BLOCK)
-        values[block] ^= _unrank_subsets(ranks[block], length, d)
+    values = np.empty(count, dtype=members.dtype)
+    blocks = [values[start:start + BLOCK] for start in range(0, count, BLOCK)]
+    for block in blocks:
+        members.take(rng.integers(0, len(members), size=len(block)),
+                     out=block)
+    for block in blocks:
+        block ^= _unrank_subsets(
+            rng.integers(0, comb(length, d), size=len(block), dtype=np.int64),
+            length, d)
     return values
 
 
@@ -316,13 +322,14 @@ def stratified_sample_profile(
     uniform rank in [0, C(L, d)), unranked into its flip mask (see
     `_unrank_subsets`), so an attempt costs two bounded integer draws
     whatever d is.  Batches double from 64 up to 2**17 attempts; each
-    is drawn whole, then classified and counted into the profile BLOCK
-    attempts at a time, so no batch-sized distance, |N| or bincount key
-    array is made.  A bucket that stays
-    short of quota after attempt_factor * quota attempts is flagged in
-    `short_buckets` rather than failing the run.  Deterministic given
-    the seed: the same seed gives the same profile, byte for byte, within
-    one version of the sampler.
+    batch's words are drawn BLOCK at a time (see `_sample_attempts`),
+    then classified and counted into the profile BLOCK attempts at a
+    time, so no batch-sized distance, |N| or bincount key array is
+    made, and a batch is dropped before the next is drawn.  A bucket
+    that stays short of quota after attempt_factor * quota attempts is
+    flagged in `short_buckets` rather than failing the run.
+    Deterministic given the seed: the same seed gives the same profile,
+    byte for byte, within one version of the sampler.
 
     Flip targets just below 2**(n-1) hit their exact distance rarely
     (most flips land nearer some other member), so filling those buckets
@@ -358,6 +365,7 @@ def stratified_sample_profile(
             for start in range(0, batch, BLOCK):
                 profile.add_batch(
                     *_batch_thetas(spec, members, values[start:start + BLOCK]))
+            del values  # not alive while the next batch is drawn
             attempts += batch
             batch = min(batch * 2, 1 << 17)
         if profile.counts[d] < quota:

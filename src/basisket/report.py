@@ -5,10 +5,10 @@ max_theta; CSV is export-only.  The JSON envelope carries the recipe,
 mode, length, seed, quotas, short buckets and runtime next to the same
 rows, each with one more key, ``"nearest": {"k": n, ...}``, the function
 count n of each nearest-set size k at that distance; reading a file
-back checks its mode and its recipe's length, then rebuilds the exact
-(distance, |N|) table from its rows.  Charts show two
-series per distance, function count and mean threshold, as fixed-width
-ASCII bars or a standalone SVG.
+back checks its mode, its recipe's length, seed, quotas and short
+buckets, then rebuilds the exact (distance, |N|) table from its rows.
+Charts show two series per distance, function count and mean threshold,
+as fixed-width ASCII bars or a standalone SVG.
 """
 
 from __future__ import annotations
@@ -99,18 +99,55 @@ def profile_to_json(profile: DistanceProfile, runtime: float = 0.0) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _int_key(key: str, low: int, high: int, what: str) -> int:
+    """A JSON object key that must name an integer in low..high."""
+    try:
+        value = int(key)
+    except ValueError:
+        value = None
+    if value is None or not low <= value <= high:
+        raise ValueError(f"{what} {key!r} is not an integer in {low}..{high}")
+    return value
+
+
+def _is_count(value, low: int = 0) -> bool:
+    """An int (not a bool or float) of at least `low`."""
+    return type(value) is int and value >= low
+
+
 def profile_from_json(text: str) -> DistanceProfile:
+    """The profile a profile_to_json document holds.  A malformed mode,
+    length, seed, quota, short bucket or row raises ValueError naming the
+    field, rather than loading a profile that a later merge_profiles or
+    report would trip over."""
     doc = json.loads(text)
     if doc["mode"] not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown profile mode {doc['mode']!r}; "
                          "expected exhaustive or sampled")
-    profile = DistanceProfile.empty(
-        tuple(doc["recipe"].split(",")), doc["mode"], seed=doc["seed"],
-        quotas={int(k): v for k, v in doc["quotas"].items()})
+    profile = DistanceProfile.empty(tuple(doc["recipe"].split(",")),
+                                    doc["mode"])
     length = profile.length
     if doc["length"] != length:
         raise ValueError(f"length {doc['length']!r} is not the length "
                          f"{length} of recipe {doc['recipe']}")
+    if doc["seed"] is not None and not _is_count(doc["seed"]):
+        raise ValueError(f"seed {doc['seed']!r} is not null or an "
+                         f"integer >= 0")
+    profile.seed = doc["seed"]
+    for key, quota in doc["quotas"].items():
+        d = _int_key(key, 1, length // 2, "quotas: distance")
+        if d in profile.quotas:
+            raise ValueError(f"quotas: distance {d} appears twice "
+                             f"(key {key!r})")
+        if not _is_count(quota, 1):
+            raise ValueError(f"quotas: distance {d} has quota {quota!r}, "
+                             f"not an integer >= 1")
+        profile.quotas[d] = quota
+    for d in doc["short_buckets"]:
+        if type(d) is not int or d not in profile.quotas:
+            raise ValueError(f"short_buckets: {d!r} is not a distance "
+                             f"with a quota")
+    profile.short_buckets = tuple(doc["short_buckets"])
     seen = set()
     for i, row in enumerate(doc["rows"]):
         d = row["distance"]
@@ -122,23 +159,23 @@ def profile_from_json(text: str) -> DistanceProfile:
         seen.add(d)
         sizes = set()
         for k, n in row.get("nearest", {}).items():
-            size = int(k)
-            if not 1 <= size <= length:
-                raise ValueError(f"row at distance {d}: nearest-set size "
-                                 f"{k} outside 1..{length}")
+            size = _int_key(k, 1, length,
+                            f"row at distance {d}: nearest-set size")
             if size in sizes:
                 raise ValueError(f"row at distance {d}: nearest-set size "
                                  f"{size} appears twice (key {k!r})")
             sizes.add(size)
-            if type(n) is not int or n < 0:
+            if not _is_count(n):
                 raise ValueError(f"row at distance {d}: nearest-set size "
                                  f"{k} has count {n!r}, not a count >= 0")
             profile.nearest[d, size] = n
+        if not _is_count(row["count"]):
+            raise ValueError(f"row at distance {d}: count {row['count']!r} "
+                             f"is not an integer >= 0")
         if profile.counts[d] != row["count"]:
             raise ValueError(
                 f"row at distance {d}: nearest counts sum to "
                 f"{profile.counts[d]}, not count {row['count']}")
-    profile.short_buckets = tuple(doc["short_buckets"])
     return profile
 
 

@@ -343,8 +343,25 @@ def kernel_inputs(draw):
     return members, ints, reps, np.concatenate([values] * reps)
 
 
+def multi_chunk_case(recipe, shape, reps):
+    """A kernel_inputs case of random full-width values whose member XOR
+    spans several XOR_BUDGET chunks of members."""
+    members = member_array(ClassifierSpec(recipe))
+    rng = np.random.default_rng(reps)
+    ints = rng.integers(0, 1 << len(members), size=prod(shape),
+                        dtype=np.uint64)
+    values = ints.astype(members.dtype).reshape(shape)
+    return members, ints.tolist(), reps, np.concatenate([values] * reps)
+
+
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(kernel_inputs())
+# L = 64: 8192 values in 16 chunks of 4 members, then a 2-D (3334, 3)
+# array in 22 chunks of 3, the last of one member; L = 32: a 2-D
+# (4000, 5) array in 11 chunks of 3, the last of two
+@example(multi_chunk_case(("C2", "C2", "C2"), (1,), BLOCK))
+@example(multi_chunk_case(("C2", "C2", "C2"), (1, 3), 3334))
+@example(multi_chunk_case(("C2", "C2", "H"), (2, 5), 2000))
 def test_member_distances_match_int_bit_count(case):
     members, ints, reps, values = case
     bits = 8 * members.itemsize
@@ -441,6 +458,29 @@ def test_range_path_rejects_other_ranges():
             range_distances(spec, values)
     with pytest.raises(ValueError, match="no half-word tables at length 64"):
         range_distances(ClassifierSpec(("C2", "C2", "C2")), range(0, 1))
+
+
+def test_member_distances_working_set_is_bounded(heap_peak):
+    # 8192 L = 64 values against 64 members: the uint8 output is 512 KB
+    # and the whole (64, 8192) uint64 XOR would be 4 MB more.  Bound:
+    # 1 MB (measured 0.75 MB; 4.5 MB when the XOR was made whole)
+    members = member_array(ClassifierSpec(("C2", "C2", "C2")))
+    values = np.random.default_rng(4).integers(0, 1 << 64, size=BLOCK,
+                                               dtype=np.uint64)
+    peak, (dist, _) = heap_peak(lambda: member_distances(members, values))
+    assert dist.nbytes == 1 << 19
+    assert peak <= 1 << 20
+
+
+def test_half_word_tables_build_working_set_is_bounded(heap_peak):
+    # the two L = 32 tables are 4 MB; their build XORs 65536 uint32
+    # half-words with 32 members per table (8 MB whole).  Bound: the
+    # tables plus 1 MB (measured 4.5 MB; 12.25 MB when the XOR was made
+    # whole).  The uncached builder leaves the spec's cache alone.
+    spec = ClassifierSpec(("C2", "C2", "H"))
+    peak, tables = heap_peak(lambda: half_word_tables.__wrapped__(spec))
+    assert sum(table.nbytes for table in tables) == 1 << 22
+    assert peak <= (1 << 22) + (1 << 20)
 
 
 def test_half_word_tables_are_cached_and_read_only():

@@ -188,10 +188,12 @@ class TestSubsetDraw:
             assert np.all(np.bitwise_count(values) == d)
 
     @pytest.mark.parametrize("recipe,d", [(("C2", "C2", "H"), 15),
+                                          (("C2", "C2", "C2"), 8),
                                           (("C2", "C2", "C2"), 30)])
     def test_blocked_flips_equal_the_whole_batch(self, recipe, d):
         # three blocks, the last one partial, against one unranking of
-        # the same two draws made by a twin generator
+        # the same two draws made by a twin generator; the rank ranges
+        # take numpy's 32-bit (C(32, 15)) and 64-bit bounded draws
         spec = ClassifierSpec(recipe)
         members, length, count = member_array(spec), spec.dim, 2 * BLOCK + 17
         twin = np.random.default_rng(11)
@@ -203,6 +205,19 @@ class TestSubsetDraw:
         assert values.dtype == members.dtype
         assert np.array_equal(
             values, members.take(picks) ^ _unrank_subsets(ranks, length, d))
+
+    def test_attempts_working_set_is_the_batch_words(self, heap_peak):
+        # a 131,072-attempt L = 32 batch at d = 15: its uint32 words are
+        # 512 KB and its int64 picks and ranks would be 1 MB each.  Bound:
+        # the words plus eight int64 BLOCK arrays, 512 KB (measured 0.91
+        # MB; 2.85 MB when both draws covered the whole batch)
+        members = member_array(ClassifierSpec(SAMPLED_RECIPE))
+        _sample_attempts(np.random.default_rng(1), members, 32, 15, 64)
+        count = 1 << 17
+        peak, values = heap_peak(lambda: _sample_attempts(
+            np.random.default_rng(1), members, 32, 15, count))
+        assert values.nbytes == 4 * count
+        assert peak <= values.nbytes + 8 * 8 * BLOCK
 
     def test_word_table_is_small(self):
         table = _popcount_sorted_words(16)

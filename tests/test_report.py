@@ -147,6 +147,37 @@ class TestJson:
         with pytest.raises(ValueError, match="unknown profile mode 'Sampled'"):
             profile_from_json(json.dumps(doc))
 
+    # each loaded at the parent of this check, and a merge_profiles of
+    # the loaded profile then raised TypeError rather than ValueError
+    @pytest.mark.parametrize("field, value, match", [
+        ("quotas", {"1": "abc"}, "quotas: distance 1 has quota 'abc'"),
+        ("quotas", {"1": -5}, "quotas: distance 1 has quota -5"),
+        ("quotas", {"1": 10, "99": 10},
+         "quotas: distance '99' is not an integer in 1..16"),
+        ("quotas", {"1": 10, "x": 10}, "quotas: distance 'x' is not"),
+        ("quotas", {"1": 10, "01": 10}, "quotas: distance 1 appears twice"),
+        ("short_buckets", [99], "short_buckets: 99 is not a distance"),
+        ("short_buckets", ["x"], "short_buckets: 'x' is not a distance"),
+        ("seed", "seven", "seed 'seven' is not null or an integer"),
+        ("seed", -1, "seed -1 is not null or an integer"),
+    ], ids=["quota-text", "quota-negative", "quota-distance-99",
+            "quota-distance-x", "quota-distance-twice", "short-99",
+            "short-text", "seed-text", "seed-negative"])
+    def test_malformed_metadata_rejected(self, sampled, field, value, match):
+        doc = json.loads(profile_to_json(sampled))
+        doc[field] = value
+        with pytest.raises(ValueError, match=match):
+            profile_from_json(json.dumps(doc))
+
+    def test_fractional_row_count_rejected(self, profile):
+        # 8.0 equals the nearest counts' sum 8, so only its type is wrong
+        doc = json.loads(profile_to_json(profile))
+        row = doc["rows"][0]
+        row["count"] = float(row["count"])
+        with pytest.raises(ValueError, match=f"distance {row['distance']}: "
+                                             "count 8.0 is not an integer"):
+            profile_from_json(json.dumps(doc))
+
     def test_document_shape(self, profile):
         doc = json.loads(profile_to_json(profile))
         assert doc["recipe"] == "H,C2"

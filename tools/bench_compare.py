@@ -12,8 +12,11 @@ its run_seconds, alternating which side runs first, and then once more
 per workload and side with --trace 1 (seed 1).  The record keeps, per
 workload and end-to-end metric of BENCHMARK.json, every run's value, the
 best of the runs (the minimum of a lower-is-better metric, the maximum of
-a higher-is-better one), the median and quartiles before and after, and
-how many seeds the working tree won; next to them each run's
+a higher-is-better one), the median and quartiles before and after, how
+many seeds the working tree won, whether a gain holds (it won at least
+9 of 10 pairs and its median is better by more than the base's quartile
+spread) and whether the median ratio is within the metric's bound in
+BENCHMARK.json; next to them each run's
 attempted/failed check counts, the traced run's attempted/failed counts
 and failures, both commit SHAs, and the run environment (CPU, nproc,
 Python and numpy versions) that perfbench/run.py wrote on each side.
@@ -83,18 +86,28 @@ def summarize(runs: list[dict], specs: list[dict]) -> dict:
 
 
 def compare(entry: dict, specs: list[dict]) -> dict:
-    """Per metric: after/before of the bests and of the medians, and the
-    number of seeds on which the working tree beat the base."""
+    """Per metric: after/before of the bests and of the medians, the
+    number of seeds on which the working tree beat the base, whether
+    that is a gain (`gain_holds`: at least 9 pairs in 10 won, and the
+    median better by more than the base's quartile spread) and whether
+    the median ratio is within the metric's bound (`within_bound`)."""
     out = {}
     for spec in specs:
         before, after = entry["before"][spec["name"]], entry["after"][spec["name"]]
         sign = 1 if spec["better"] == "lower" else -1
+        won = sum(sign * (b - a) > 0 for a, b in
+                  zip(after["runs"], before["runs"]))
+        pairs = len(after["runs"])
+        q1, q3 = before["quartiles"]
+        ratio = after["median"] / before["median"]
         out[spec["name"]] = {
             "best_ratio": after["best"] / before["best"],
-            "median_ratio": after["median"] / before["median"],
-            "pairs_won": sum(sign * (b - a) > 0 for a, b in
-                             zip(after["runs"], before["runs"])),
-            "pairs": len(after["runs"])}
+            "median_ratio": ratio,
+            "pairs_won": won,
+            "pairs": pairs,
+            "gain_holds": 10 * won >= 9 * pairs
+            and sign * (before["median"] - after["median"]) > q3 - q1,
+            "within_bound": sign * (ratio - 1) <= spec["bound"]}
     return out
 
 
@@ -130,9 +143,11 @@ def main() -> int:
                     result, full = bench(tree, workload, seed, seconds)
                     record[side]["environment"] = full["environment"]
                     runs[side].append(result)
+                    metrics = result["metrics"]
                     print(f"{workload} seed {seed} {side}: "
-                          f"{result['metrics']['pass_s']['value']:.4f}"
-                          f" s/pass", file=sys.stderr)
+                          f"{metrics['pass_s']['value']:.4f} s/pass, "
+                          f"{metrics['peak_rss_mb']['value']:.2f} MB peak "
+                          f"RSS", file=sys.stderr)
             entry = {side: summarize(r, specs) for side, r in runs.items()}
             entry["after_vs_before"] = compare(entry, specs)
             entry["traced"] = {"seed": TRACE_SEED}

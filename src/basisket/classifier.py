@@ -47,6 +47,7 @@ from .patterns import (
     PatternVector,
     RANK_CAP,
     build_basis_from_recipe,
+    class_rho,
 )
 
 #: Index bits consumed by each classifier factor.
@@ -102,6 +103,13 @@ class ClassifierSpec:
         once per factor tuple (equal specs share it, as in member_array);
         the basis is frozen, so sharing it is safe."""
         return build_basis_from_recipe([FACTOR_TO_BASIS[f] for f in self.factors])
+
+    @lru_cache(maxsize=None)
+    def rho(self) -> int | None:
+        """The class's uniform zero count rho, or None for a mixed class
+        (see patterns.class_rho), computed once per factor tuple: the
+        one source of rho for interval_summary, the game and `bases`."""
+        return class_rho(self.basis())
 
     def __str__(self) -> str:
         return ",".join(self.factors)

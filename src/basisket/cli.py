@@ -36,7 +36,7 @@ from .experiment import (
 )
 from .game import (ALICE_STRATEGIES, BOB_STRATEGIES, GameConfig,
                    estimate_win_rate, write_rounds)
-from .patterns import PatternVector, class_rho, validate_basis
+from .patterns import PatternVector, validate_basis
 from . import reference
 from .report import (
     RunManifest,
@@ -114,7 +114,7 @@ def cmd_bases(args) -> int:
     basis = spec.basis()
     violation = validate_basis(basis.members)
     print(str(basis))
-    rho = class_rho(basis)
+    rho = spec.rho()
     print(f"# rank {basis.rank}, zero-count "
           f"{'not-uniform' if rho is None else rho}")
     if violation is not None:

@@ -33,7 +33,7 @@ from .classifier import (
     range_distances,
     word_dtype,
 )
-from .patterns import PatternBasis, PatternVector, class_rho
+from .patterns import PatternBasis, PatternVector
 
 #: Exhaustive mode is limited to pattern lengths 8 and 16.
 EXHAUSTIVE_RANK_CAP = 4
@@ -436,13 +436,13 @@ def interval_summary(profile: DistanceProfile) -> IntervalSummary:
     Region 1 (1 .. L/8): mean above 0.5.  Region 2 (L/8+1 .. L/2-1):
     mean strictly between 0 and 0.5.  Region 3 (L/2 .. L): mean zero,
     except the rho bucket when the recipe's class has a uniform zero
-    count (see class_rho), where the mean must be 1.  Empty buckets are
-    skipped.  Monotonicity violations are reported informationally and
-    never fail a region.
+    count (see ClassifierSpec.rho), where the mean must be 1.  Empty
+    buckets are skipped.  Monotonicity violations are reported
+    informationally and never fail a region.
     """
     if profile.total() == 0:
         raise ValueError("profile is empty")
-    uniform_rho = class_rho(ClassifierSpec(profile.recipe).basis())
+    uniform_rho = ClassifierSpec(profile.recipe).rho()
 
     def check(low: int, high: int, expectation: str) -> RegionVerdict:
         bad = []

@@ -13,12 +13,16 @@ pivot strategy targets distance floor(2**n / 8), the crossover where the
 game approaches a fair coin toss.
 
 Rounds are played in blocks of up to ROUND_BLOCK.  Bob picks every
-function of a block at once; one popcount matrix then gives each round's
-distances and nearest set, and one uniform draw per round picks the
-measured ket by inverse CDF over the integer outcome weights (L - 2d)**2,
-the probabilities of ``classifier.ket_probabilities`` times L**2.  Block
-b of a game draws only from ``SeedSequence(seed).spawn(n_blocks)[b]``,
-so it replays, here or on another machine, from (seed, b).
+function of a block at once; at distance d <= L/4 every flip of a
+member is a pick (see _pick), so no distance is checked there.  One
+popcount matrix then gives each round's distances and nearest set, and
+one uniform draw per round picks the measured ket by inverse CDF over
+the integer outcome weights (L - 2d)**2, the probabilities of
+``classifier.ket_probabilities`` times L**2, squared in place and summed
+down the members by doubling (see _outcome_cdf).  Alice's rho is
+``ClassifierSpec.rho()``, computed once per class.  Block b of a game
+draws only from ``SeedSequence(seed).spawn(n_blocks)[b]``, so it
+replays, here or on another machine, from (seed, b).
 
 Given h, Alice wins with probability exactly theta(h) if she says yes
 and 1 - theta(h) if not.  The mean of that over the rounds is the
@@ -37,7 +41,7 @@ import numpy as np
 
 from .classifier import (ClassifierSpec, classification_threshold,
                          ket_probabilities, member_array, member_distances)
-from .patterns import NearestSet, PatternVector, class_rho
+from .patterns import NearestSet, PatternVector
 from .experiment import _sample_attempts, probe_functions, regions
 
 #: Flip attempts per pick before falling back to deterministic probes.
@@ -114,6 +118,13 @@ def _pick(rng: np.random.Generator, recipe: tuple[str, ...], strategy: str,
     pick still missing after PICK_ATTEMPT_CAP attempts takes the first
     deterministic probe (all-ones, all-zeros, member complements) at
     that distance.
+
+    At distance d <= L/4 every attempt is a hit: it is d from its own
+    member, and members are pairwise L/2 apart, so every other member is
+    at least L/2 - d >= d away.  Each pick then takes the first attempt
+    of its row of the first sampler call, which draws the same numbers
+    as before, with no distance check; above L/4 a flip can land nearer
+    another member, and the hit test stays.
     """
     spec = ClassifierSpec(recipe)
     members = member_array(spec)
@@ -147,6 +158,8 @@ def _pick(rng: np.random.Generator, recipe: tuple[str, ...], strategy: str,
                        PICK_ATTEMPT_CAP - attempted)
         tries = _sample_attempts(rng, members, length, distance,
                                  pending.size * per_pick).reshape(-1, per_pick)
+        if 4 * distance <= length:  # every try is a hit: take each first
+            return np.ascontiguousarray(tries[:, 0])
         hit = member_distances(members, tries)[1] == distance
         found = hit.any(axis=1)
         values[pending[found]] = tries[found, hit[found].argmax(axis=1)]
@@ -203,21 +216,18 @@ def _play_block(config: GameConfig, rng: np.random.Generator,
     members = member_array(spec)
     values = _pick(rng, config.recipe, config.bob, config.bob_distance, size)
     dist, dmin = member_distances(members, values)  # dist[k, round]
-    nearest = dist == dmin
     # inverse-CDF draw: the single quantum measurement of each round.
-    # The weights (L - 2d)**2 are the outcome probabilities times L**2
-    # and sum to L**2 <= 4096, so their running sum is exact in int16.
     # L**2 is a power of two, so a probability cdf < u exactly when its
     # integer cdf < ceil(u * L**2); counting those equals
     # searchsorted(cdf, u) column by column.  The last integer cdf entry
-    # is L**2 and u < 1, so every outcome is a valid ket.
-    weights = spec.dim - 2 * dist.astype(np.int16)
-    cdf = np.cumsum(weights * weights, axis=0, dtype=np.int16)
+    # is L**2 and u < 1, so every outcome is a valid ket.  Both counts
+    # are uint8 sums over at most 64 members.
+    cdf = _outcome_cdf(dist, spec.dim)
     threshold = np.ceil(rng.random(size) * spec.dim ** 2).astype(np.int16)
-    outcome = np.count_nonzero(cdf < threshold, axis=0)
+    outcome = (cdf < threshold).view(np.uint8).sum(axis=0, dtype=np.uint8)
+    nearest = dist == dmin
     if config.alice == "interval_threshold":
-        alice_yes = alice_interval_decide(dmin, spec.total_bits,
-                                          class_rho(spec.basis()))
+        alice_yes = alice_interval_decide(dmin, spec.total_bits, spec.rho())
     else:
         alice_yes = np.full(size, config.alice == "always_yes")
     return _Block(
@@ -226,8 +236,30 @@ def _play_block(config: GameConfig, rng: np.random.Generator,
         outcome=outcome,
         in_nearest=nearest[outcome, np.arange(size)],
         alice_yes=alice_yes,
-        theta=nearest.sum(axis=0) * ket_probabilities(dmin, spec.dim),
+        theta=(nearest.view(np.uint8).sum(axis=0, dtype=np.uint8)
+               * ket_probabilities(dmin, spec.dim)),
     )
+
+
+def _outcome_cdf(dist: np.ndarray, length: int) -> np.ndarray:
+    """Running sums down the members of the integer outcome weights
+    (L - 2d)**2, the probabilities times L**2, of member distances
+    `dist[k, round]`: ``np.cumsum(w * w, axis=0)`` for w = L - 2 * dist.
+
+    The weights sum to L**2 <= 4096, so every sum is exact in int16.
+    They are squared in place and summed by doubling: after the step of
+    span s each row holds the sum of the 2s rows ending at it, so
+    ceil(log2 M) whole-array adds give the running sums, where cumsum
+    along the first axis walks the array column by column."""
+    cdf = dist.astype(np.int16)
+    cdf *= -2
+    cdf += length
+    cdf *= cdf
+    span = 1
+    while span < len(cdf):
+        cdf[span:] += cdf[:-span]  # numpy reads the overlap before writing
+        span *= 2
+    return cdf
 
 
 def _blocks(config: GameConfig) -> Iterator[_Block]:

@@ -5,8 +5,9 @@ max_theta; CSV is export-only.  The JSON envelope carries the recipe,
 mode, length, seed, quotas, short buckets and runtime next to the same
 rows, each with one more key, ``"nearest": {"k": n, ...}``, the function
 count n of each nearest-set size k at that distance; reading a file
-back checks its mode, its recipe's length, seed, quotas and short
-buckets, then rebuilds the exact (distance, |N|) table from its rows.
+back checks that every field is there with its JSON type, then its
+mode, its recipe's length, seed, quotas and short buckets, then
+rebuilds the exact (distance, |N|) table from its rows.
 Charts show two series per distance, function count and mean threshold,
 as fixed-width ASCII bars or a standalone SVG.
 """
@@ -115,26 +116,47 @@ def _is_count(value, low: int = 0) -> bool:
     return type(value) is int and value >= low
 
 
+_JSON_TYPES = {str: "a string", int: "an integer", list: "a list",
+               dict: "an object"}
+
+
+def _field(obj: dict, key: str, kind: type | None, where: str):
+    """obj[key], which must be of JSON type `kind` (exactly: no bool or
+    float for an integer) unless `kind` is None; a missing key or another
+    type raises ValueError naming `where` and the field."""
+    if key not in obj:
+        raise ValueError(f"{where}: missing field {key!r}")
+    value = obj[key]
+    if kind is not None and type(value) is not kind:
+        raise ValueError(f"{where}: {key} {value!r} is not {_JSON_TYPES[kind]}")
+    return value
+
+
 def profile_from_json(text: str) -> DistanceProfile:
-    """The profile a profile_to_json document holds.  A malformed mode,
-    length, seed, quota, short bucket or row raises ValueError naming the
-    field, rather than loading a profile that a later merge_profiles or
-    report would trip over."""
+    """The profile a profile_to_json document holds.  A missing field, a
+    field of the wrong JSON type, or a malformed mode, length, seed,
+    quota, short bucket or row raises ValueError naming the field, rather
+    than loading a profile that a later merge_profiles or report would
+    trip over."""
     doc = json.loads(text)
-    if doc["mode"] not in ("exhaustive", "sampled"):
-        raise ValueError(f"unknown profile mode {doc['mode']!r}; "
+    if type(doc) is not dict:
+        raise ValueError("profile: the document is not a JSON object")
+    recipe = _field(doc, "recipe", str, "profile")
+    mode = _field(doc, "mode", None, "profile")
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown profile mode {mode!r}; "
                          "expected exhaustive or sampled")
-    profile = DistanceProfile.empty(tuple(doc["recipe"].split(",")),
-                                    doc["mode"])
+    profile = DistanceProfile.empty(tuple(recipe.split(",")), mode)
     length = profile.length
-    if doc["length"] != length:
-        raise ValueError(f"length {doc['length']!r} is not the length "
-                         f"{length} of recipe {doc['recipe']}")
-    if doc["seed"] is not None and not _is_count(doc["seed"]):
-        raise ValueError(f"seed {doc['seed']!r} is not null or an "
-                         f"integer >= 0")
-    profile.seed = doc["seed"]
-    for key, quota in doc["quotas"].items():
+    stored = _field(doc, "length", None, "profile")
+    if type(stored) is not int or stored != length:
+        raise ValueError(f"length {stored!r} is not the length "
+                         f"{length} of recipe {recipe}")
+    seed = _field(doc, "seed", None, "profile")
+    if seed is not None and not _is_count(seed):
+        raise ValueError(f"seed {seed!r} is not null or an integer >= 0")
+    profile.seed = seed
+    for key, quota in _field(doc, "quotas", dict, "profile").items():
         d = _int_key(key, 1, length // 2, "quotas: distance")
         if d in profile.quotas:
             raise ValueError(f"quotas: distance {d} appears twice "
@@ -143,22 +165,27 @@ def profile_from_json(text: str) -> DistanceProfile:
             raise ValueError(f"quotas: distance {d} has quota {quota!r}, "
                              f"not an integer >= 1")
         profile.quotas[d] = quota
-    for d in doc["short_buckets"]:
+    short = _field(doc, "short_buckets", list, "profile")
+    for d in short:
         if type(d) is not int or d not in profile.quotas:
             raise ValueError(f"short_buckets: {d!r} is not a distance "
                              f"with a quota")
-    profile.short_buckets = tuple(doc["short_buckets"])
+    profile.short_buckets = tuple(short)
     seen = set()
-    for i, row in enumerate(doc["rows"]):
-        d = row["distance"]
+    for i, row in enumerate(_field(doc, "rows", list, "profile")):
+        if type(row) is not dict:
+            raise ValueError(f"row {i}: {row!r} is not an object")
+        d = _field(row, "distance", None, f"row {i}")
         if type(d) is not int or not 0 <= d <= length:
             raise ValueError(
                 f"row {i}: distance {d!r} is not an integer in 0..{length}")
         if d in seen:
             raise ValueError(f"row at distance {d} appears twice")
         seen.add(d)
+        nearest = (_field(row, "nearest", dict, f"row at distance {d}")
+                   if "nearest" in row else {})
         sizes = set()
-        for k, n in row.get("nearest", {}).items():
+        for k, n in nearest.items():
             size = _int_key(k, 1, length,
                             f"row at distance {d}: nearest-set size")
             if size in sizes:
@@ -169,13 +196,14 @@ def profile_from_json(text: str) -> DistanceProfile:
                 raise ValueError(f"row at distance {d}: nearest-set size "
                                  f"{k} has count {n!r}, not a count >= 0")
             profile.nearest[d, size] = n
-        if not _is_count(row["count"]):
-            raise ValueError(f"row at distance {d}: count {row['count']!r} "
+        count = _field(row, "count", None, f"row at distance {d}")
+        if not _is_count(count):
+            raise ValueError(f"row at distance {d}: count {count!r} "
                              f"is not an integer >= 0")
-        if profile.counts[d] != row["count"]:
+        if profile.counts[d] != count:
             raise ValueError(
                 f"row at distance {d}: nearest counts sum to "
-                f"{profile.counts[d]}, not count {row['count']}")
+                f"{profile.counts[d]}, not count {count}")
     return profile
 
 

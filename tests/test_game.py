@@ -1,3 +1,4 @@
+from itertools import product
 from math import sqrt
 from statistics import NormalDist
 
@@ -14,16 +15,24 @@ from basisket import (
     estimate_win_rate,
     play_round,
 )
-from basisket.experiment import regions
+from basisket.classifier import FACTOR_BITS, member_array, member_distances
+from basisket.experiment import _sample_attempts, regions
 from basisket.game import (
+    PICK_ATTEMPT_CAP,
     ROUND_BLOCK,
     _blocks,
+    _outcome_cdf,
+    _pick,
     _play_block,
     _records,
 )
 from basisket.game import wilson_interval as wilson_95
 
 RANK4 = ("C2", "C2")  # rho = 10, pivot distance 2
+#: every recipe of rank 1 to 6, 32 of them
+ALL_RECIPES = [recipe for k in range(1, 7)
+               for recipe in product(("H", "C2"), repeat=k)
+               if sum(FACTOR_BITS[f] for f in recipe) <= 6]
 Z95 = NormalDist().inv_cdf(0.975)
 
 
@@ -123,6 +132,65 @@ class TestBobPick:
             bob_pick(RANK4, "at_distance", seed=0, distance=0)
         with pytest.raises(ValueError, match="exceeds"):
             bob_pick(RANK4, "at_distance", seed=0, distance=17)
+
+
+class TestPickWithinAQuarter:
+    """A flip of d <= L/4 bits of a member is at class distance d, so
+    _pick takes its tries without a distance check there."""
+
+    @pytest.mark.parametrize("recipe", ALL_RECIPES, ids=",".join)
+    def test_every_try_within_a_quarter_hits(self, recipe):
+        spec = ClassifierSpec(recipe)
+        members = member_array(spec)
+        rng = np.random.default_rng(5)
+        for d in range(1, spec.dim // 4 + 1):
+            tries = _sample_attempts(rng, members, spec.dim, d, 512)
+            assert (member_distances(members, tries)[1] == d).all(), d
+
+    @pytest.mark.parametrize("recipe", ALL_RECIPES, ids=",".join)
+    def test_one_flip_beyond_a_quarter_can_miss(self, recipe):
+        # d = L/4 + 1 of the L/2 bits where members 0 and 1 differ,
+        # flipped in member 0, leave L/2 - d < d to member 1: the bound
+        # is tight
+        members = member_array(ClassifierSpec(recipe))
+        length = ClassifierSpec(recipe).dim
+        d = length // 4 + 1
+        differ = members[0] ^ members[1]
+        flips = [1 << i for i in range(length) if differ >> i & 1]
+        h = members[0] ^ sum(flips[:d])
+        assert member_distances(members, h)[1] == length // 2 - d < d
+
+    @pytest.mark.parametrize(
+        "recipe", [r for r in ALL_RECIPES
+                   if sum(FACTOR_BITS[f] for f in r) <= 5], ids=",".join)
+    def test_sampled_tries_beyond_a_quarter_miss(self, recipe):
+        # a miss needs all L/4 + 1 flips among the L/2 bits where another
+        # member differs: about 1 try in 80 at L = 32, but only about 1
+        # in 10**8 at L = 64, which is left out
+        spec = ClassifierSpec(recipe)
+        members = member_array(spec)
+        d = spec.dim // 4 + 1
+        tries = _sample_attempts(np.random.default_rng(5), members, spec.dim,
+                                 d, 512)
+        assert (member_distances(members, tries)[1] < d).any()
+
+    @pytest.mark.parametrize("recipe,distance", [
+        (RANK4, 1), (RANK4, 4), (("C2", "C2", "C2"), 8),
+        (("C2", "C2", "C2"), 16)], ids=["L16-d1", "L16-d4", "L64-d8",
+                                        "L64-d16"])
+    @pytest.mark.parametrize("size", [1, 7, 300, ROUND_BLOCK])
+    def test_pick_takes_each_first_try(self, recipe, distance, size):
+        # the first try of each pick's row is its first hit, as the hit
+        # test would find, and the draws are those of the one batch
+        spec = ClassifierSpec(recipe)
+        per_pick = min(max(1, ROUND_BLOCK // size), PICK_ATTEMPT_CAP)
+        rng, replay = np.random.default_rng(9), np.random.default_rng(9)
+        values = _pick(rng, recipe, "at_distance", distance, size)
+        tries = _sample_attempts(replay, member_array(spec), spec.dim,
+                                 distance, size * per_pick)
+        assert np.array_equal(values, tries[::per_pick])
+        assert values.flags.c_contiguous
+        assert rng.random() == replay.random()
 
 
 class TestPlayRound:
@@ -274,6 +342,30 @@ class TestBlockEngine:
                                 trials=3, seed=0, bob_distance=distance)
             with pytest.raises(ValueError, match=message):
                 estimate_win_rate(config)
+
+
+class TestOutcomeCdf:
+    @pytest.mark.parametrize("recipe", [("C2",), ("C2", "H"), RANK4,
+                                        ("C2", "C2", "H"), ("C2", "C2", "C2")])
+    def test_member_distances(self, recipe):
+        spec = ClassifierSpec(recipe)
+        members = member_array(spec)
+        values = np.random.default_rng(2).integers(
+            0, 1 << spec.dim, size=ROUND_BLOCK, dtype=np.uint64)
+        dist, _ = member_distances(members, values)
+        w = spec.dim - 2 * dist.astype(np.int16)
+        assert np.array_equal(_outcome_cdf(dist, spec.dim),
+                              np.cumsum(w * w, axis=0, dtype=np.int16))
+
+    def test_every_member_count_from_4_to_64(self):
+        # distances 24..40 at L = 64 keep every weight <= 256, so no sum
+        # of up to 64 of them leaves int16
+        rng = np.random.default_rng(3)
+        for count in range(4, 65):
+            dist = rng.integers(24, 41, size=(count, 37), dtype=np.uint8)
+            w = 64 - 2 * dist.astype(np.int16)
+            assert np.array_equal(_outcome_cdf(dist, 64),
+                                  np.cumsum(w * w, axis=0, dtype=np.int16))
 
 
 class TestExactRate:

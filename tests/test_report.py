@@ -169,6 +169,36 @@ class TestJson:
         with pytest.raises(ValueError, match=match):
             profile_from_json(json.dumps(doc))
 
+    # each escaped at the parent of this check as another exception than
+    # ValueError, or (a float length) loaded
+    def test_list_recipe_rejected(self, profile):
+        doc = json.loads(profile_to_json(profile))
+        doc["recipe"] = ["H", "C2"]
+        with pytest.raises(ValueError,
+                           match=r"recipe \['H', 'C2'\] is not a string"):
+            profile_from_json(json.dumps(doc))
+
+    def test_missing_seed_rejected(self, profile):
+        doc = json.loads(profile_to_json(profile))
+        del doc["seed"]
+        with pytest.raises(ValueError, match="missing field 'seed'"):
+            profile_from_json(json.dumps(doc))
+
+    def test_list_nearest_rejected(self, profile):
+        doc = json.loads(profile_to_json(profile))
+        row = doc["rows"][0]
+        row["nearest"] = [row["count"]]
+        with pytest.raises(ValueError, match=f"distance {row['distance']}: "
+                                             "nearest .* is not an object"):
+            profile_from_json(json.dumps(doc))
+
+    def test_float_length_rejected(self, profile):
+        doc = json.loads(profile_to_json(profile))
+        doc["length"] = 8.0
+        with pytest.raises(ValueError,
+                           match="length 8.0 is not the length 8 of recipe"):
+            profile_from_json(json.dumps(doc))
+
     def test_fractional_row_count_rejected(self, profile):
         # 8.0 equals the nearest counts' sum 8, so only its type is wrong
         doc = json.loads(profile_to_json(profile))

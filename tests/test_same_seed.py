@@ -11,7 +11,8 @@ import hashlib
 
 import pytest
 
-from basisket import exhaustive_profile, stratified_sample_profile
+from basisket import (GameConfig, bob_pick, exhaustive_profile, play_round,
+                      stratified_sample_profile)
 from basisket.cli import cli_dispatch
 
 SAMPLE_NEAREST_SHA256 = (
@@ -66,6 +67,22 @@ ROUNDS_OUT_SHA256 = {
     ("C2,C2,C2", "pivot"):
         "ffae2fb2408ad2ce8d898ed0155d962023da63b797272cb00afe587d5780d95a",
 }
+#: recorded on d2cefc4: the per-round log of an at_distance game above
+#: L/4, whose picks keep the hit test, and of one with fewer than
+#: ROUND_BLOCK / 2 trials, whose picks draw several tries each
+AT_DISTANCE_ROUNDS_OUT_SHA256 = {
+    ("C2,C2", 5, 1500):
+        "0b9f5633a844cfe57ae9cbb68a9a5ea055bf6fc3e19cf22eb303949c3e27be8e",
+    ("C2,C2,C2", 8, 100):
+        "c024ed6c382cccb3cd4ec6a6b378e135b2bd89f9adb9db5f39ebd8f262bcdeb5",
+}
+#: recorded on d2cefc4: single picks and single rounds, each pick drawing
+#: PICK_ATTEMPT_CAP tries, over strategies and distances on both sides of
+#: L/4 (L = 16 and 64)
+SINGLE_PICK_SHA256 = (
+    "49aca35ce4c45bb16acd8bcffb6ac2d2dee130475cdf7f31a0a854ee2862771a")
+SINGLE_ROUND_SHA256 = (
+    "484bf576e4511018996b519b68ad05650bb93bf906f07c20032aa6d78c3a4734")
 
 
 def sha256(data: bytes) -> str:
@@ -113,6 +130,50 @@ def test_game_rounds_out_bytes(capsys, tmp_path, recipe, bob):
                          "--rounds-out", str(target)])
     assert code == 0
     assert sha256(target.read_bytes()) == ROUNDS_OUT_SHA256[recipe, bob]
+
+
+@pytest.mark.parametrize("recipe,distance,trials",
+                         sorted(AT_DISTANCE_ROUNDS_OUT_SHA256))
+def test_at_distance_rounds_out_bytes(capsys, tmp_path, recipe, distance,
+                                      trials):
+    target = tmp_path / "rounds.jsonl"
+    code = cli_dispatch(["game", "--recipe", recipe, "--bob", "at_distance",
+                         "--distance", str(distance), "--seed", "6",
+                         "--trials", str(trials), "--rounds-out", str(target)])
+    assert code == 0
+    assert sha256(target.read_bytes()) == \
+        AT_DISTANCE_ROUNDS_OUT_SHA256[recipe, distance, trials]
+
+
+#: (recipe, strategy, distance) of the single-pick cases
+SINGLE_PICKS = [
+    *((("C2", "C2"), "at_distance", d) for d in (1, 3, 4, 5, 7)),
+    *((("C2", "C2", "C2"), "at_distance", d) for d in (1, 8, 16, 17, 20)),
+    (("C2", "C2"), "pivot", None), (("C2", "C2", "C2"), "pivot", None),
+    (("C2", "C2"), "uniform_random", None),
+    (("C2", "C2", "C2"), "uniform_random", None),
+]
+
+
+def test_single_pick_bytes():
+    lines = []
+    for recipe, bob, distance in SINGLE_PICKS:
+        for seed in range(4):
+            h, nearest = bob_pick(recipe, bob, seed, distance)
+            lines.append(f"{h} {nearest.distance} {sorted(nearest.indices)}")
+    assert sha256("\n".join(lines).encode()) == SINGLE_PICK_SHA256
+
+
+def test_single_round_bytes():
+    lines = []
+    for recipe, bob, distance in SINGLE_PICKS:
+        for alice in ("interval_threshold", "always_yes"):
+            config = GameConfig(recipe, bob, alice, 1, 0, distance)
+            for seed in range(3):
+                r = play_round(config, seed)
+                lines.append(f"{r.function} {r.distance} {r.outcome} "
+                             f"{r.in_nearest} {r.alice_yes} {r.theta!r}")
+    assert sha256("\n".join(lines).encode()) == SINGLE_ROUND_SHA256
 
 
 def test_game_stdout_bytes(capsys):

@@ -231,7 +231,8 @@ def member_distances(members: np.ndarray,
     XOR words within XOR_BUDGET bytes (at least one), each chunk counted
     straight into its rows of ``dist``; so the only temporary beyond the
     uint8 output is one chunk of words, whatever M and the value count.
-    A game block, a probe or one value fits one chunk.
+    A probe or one value fits one chunk; a group of 2000 game rounds at
+    L = 64 (16 KB of words) goes 16 members a chunk, in 4 chunks.
     """
     values, bits = np.asarray(values), 8 * members.itemsize
     if values.dtype != members.dtype:

@@ -12,17 +12,20 @@ at the rho spike of uniform-zero-count classes), no otherwise.  Bob's
 pivot strategy targets distance floor(2**n / 8), the crossover where the
 game approaches a fair coin toss.
 
-Rounds are played in blocks of up to ROUND_BLOCK.  Bob picks every
-function of a block at once; at distance d <= L/4 every flip of a
-member is a pick (see _pick), so no distance is checked there.  One
-popcount matrix then gives each round's distances and nearest set, and
-one uniform draw per round picks the measured ket by inverse CDF over
-the integer outcome weights (L - 2d)**2, the probabilities of
+Rounds are drawn in blocks of up to ROUND_BLOCK, the unit of seed
+splitting: block b of a game draws only from
+``SeedSequence(seed).spawn(n_blocks)[b]``, so it replays, here or on
+another machine, from (seed, b).  Bob picks every function of a block
+at once; at distance d <= L/4 every flip of a member is a pick (see
+_pick), so no distance is checked there.  Then one uniform per round is
+drawn for its measurement.  The drawn blocks are classified a group of
+up to experiment.BLOCK rounds at a time, which moves no draw: one
+popcount matrix gives each round's distances and nearest set, and each
+round's uniform picks the measured ket by inverse CDF over the integer
+outcome weights (L - 2d)**2, the probabilities of
 ``classifier.ket_probabilities`` times L**2, squared in place and summed
-down the members by doubling (see _outcome_cdf).  Alice's rho is
-``ClassifierSpec.rho()``, computed once per class.  Block b of a game
-draws only from ``SeedSequence(seed).spawn(n_blocks)[b]``, so it
-replays, here or on another machine, from (seed, b).
+down the members (see _outcome_cdf).  Alice's rho is
+``ClassifierSpec.rho()``, computed once per class.
 
 Given h, Alice wins with probability exactly theta(h) if she says yes
 and 1 - theta(h) if not.  The mean of that over the rounds is the
@@ -42,12 +45,12 @@ import numpy as np
 from .classifier import (ClassifierSpec, classification_threshold,
                          ket_probabilities, member_array, member_distances)
 from .patterns import NearestSet, PatternVector
-from .experiment import _sample_attempts, probe_functions, regions
+from .experiment import BLOCK, _sample_attempts, probe_functions, regions
 
 #: Flip attempts per pick before falling back to deterministic probes.
 PICK_ATTEMPT_CAP = 512
 
-#: Rounds played per vectorized block; the unit of seed splitting.
+#: Rounds drawn per block from one generator; the unit of seed splitting.
 ROUND_BLOCK = 512
 
 BOB_STRATEGIES = ("at_distance", "pivot", "uniform_random")
@@ -139,7 +142,8 @@ def _pick(rng: np.random.Generator, recipe: tuple[str, ...], strategy: str,
         # drawn as uint64 whatever the word, so the stream stays the same
         values = rng.integers(0, 1 << length, size=size,
                               dtype=np.uint64).astype(members.dtype)
-        while (redraw := np.flatnonzero(np.isin(values, members))).size:
+        while (redraw := np.flatnonzero(
+                (members[:, None] == values).any(axis=0))).size:
             values[redraw] = rng.integers(0, 1 << length, size=redraw.size,
                                           dtype=np.uint64)
         return values
@@ -210,33 +214,45 @@ class _Block:
 
 def _play_block(config: GameConfig, rng: np.random.Generator,
                 size: int) -> _Block:
-    """`size` rounds: Bob's picks, then distances, then one measurement
-    and one verdict per round."""
-    spec = ClassifierSpec(config.recipe)
-    members = member_array(spec)
+    """`size` rounds drawn from `rng` and classified at once."""
+    return _classify(config, *_draw(config, rng, size))
+
+
+def _draw(config: GameConfig, rng: np.random.Generator,
+          size: int) -> tuple[np.ndarray, np.ndarray]:
+    """One block's draws from its own generator: Bob's `size` picks,
+    then one uniform per round for its measurement."""
     values = _pick(rng, config.recipe, config.bob, config.bob_distance, size)
-    dist, dmin = member_distances(members, values)  # dist[k, round]
+    return values, rng.random(size)
+
+
+def _classify(config: GameConfig, values: np.ndarray,
+              uniforms: np.ndarray) -> _Block:
+    """Any number of rounds from their picks and measurement uniforms:
+    distances, then one measured ket and one verdict per round."""
+    spec = ClassifierSpec(config.recipe)
+    dist, dmin = member_distances(member_array(spec), values)
     # inverse-CDF draw: the single quantum measurement of each round.
     # L**2 is a power of two, so a probability cdf < u exactly when its
     # integer cdf < ceil(u * L**2); counting those equals
     # searchsorted(cdf, u) column by column.  The last integer cdf entry
     # is L**2 and u < 1, so every outcome is a valid ket.  Both counts
     # are uint8 sums over at most 64 members.
-    cdf = _outcome_cdf(dist, spec.dim)
-    threshold = np.ceil(rng.random(size) * spec.dim ** 2).astype(np.int16)
-    outcome = (cdf < threshold).view(np.uint8).sum(axis=0, dtype=np.uint8)
-    nearest = dist == dmin
+    threshold = np.ceil(uniforms * spec.dim ** 2).astype(np.int16)
+    outcome = (_outcome_cdf(dist, spec.dim) < threshold).view(np.uint8).sum(
+        axis=0, dtype=np.uint8)
+    nearest = np.equal(dist, dmin, out=dist).view(bool)  # marked in place
     if config.alice == "interval_threshold":
         alice_yes = alice_interval_decide(dmin, spec.total_bits, spec.rho())
     else:
-        alice_yes = np.full(size, config.alice == "always_yes")
+        alice_yes = np.full(len(values), config.alice == "always_yes")
     return _Block(
         values=values,
         distance=dmin,
         outcome=outcome,
-        in_nearest=nearest[outcome, np.arange(size)],
+        in_nearest=nearest[outcome, np.arange(len(values))],
         alice_yes=alice_yes,
-        theta=(nearest.view(np.uint8).sum(axis=0, dtype=np.uint8)
+        theta=(dist.sum(axis=0, dtype=np.uint8)
                * ket_probabilities(dmin, spec.dim)),
     )
 
@@ -244,17 +260,25 @@ def _play_block(config: GameConfig, rng: np.random.Generator,
 def _outcome_cdf(dist: np.ndarray, length: int) -> np.ndarray:
     """Running sums down the members of the integer outcome weights
     (L - 2d)**2, the probabilities times L**2, of member distances
-    `dist[k, round]`: ``np.cumsum(w * w, axis=0)`` for w = L - 2 * dist.
+    `dist[k, round]`: ``np.cumsum(w * w, axis=0)`` for w = L - 2 * dist,
+    which walks the array column by column.
 
     The weights sum to L**2 <= 4096, so every sum is exact in int16.
-    They are squared in place and summed by doubling: after the step of
-    span s each row holds the sum of the 2s rows ending at it, so
-    ceil(log2 M) whole-array adds give the running sums, where cumsum
-    along the first axis walks the array column by column."""
+    They are squared in place and summed down the members.  Up to one
+    block of rounds that goes by doubling: after the step of span s
+    each row holds the sum of the 2s rows ending at it, so ceil(log2 M)
+    whole-array adds give the running sums.  A group of several blocks
+    goes row by row instead, M - 1 adds of one row each: once rows are
+    longer than a block the doubling's whole-array passes cost more
+    (about 1.5 ms against 0.2 ms at M = 64 and 8192 rounds)."""
     cdf = dist.astype(np.int16)
     cdf *= -2
     cdf += length
     cdf *= cdf
+    if cdf.shape[1] > ROUND_BLOCK:
+        for above, row in zip(cdf, cdf[1:]):
+            row += above
+        return cdf
     span = 1
     while span < len(cdf):
         cdf[span:] += cdf[:-span]  # numpy reads the overlap before writing
@@ -263,12 +287,17 @@ def _outcome_cdf(dist: np.ndarray, length: int) -> np.ndarray:
 
 
 def _blocks(config: GameConfig) -> Iterator[_Block]:
-    """Every round of the config, ROUND_BLOCK at a time."""
+    """Every round of the config: blocks of ROUND_BLOCK rounds, each
+    drawn from its own generator, classified a group of up to BLOCK
+    rounds at a time."""
     n_blocks = -(-config.trials // ROUND_BLOCK)
     seeds = np.random.SeedSequence(config.seed).spawn(n_blocks)
-    for b, seed in enumerate(seeds):
-        size = min(ROUND_BLOCK, config.trials - b * ROUND_BLOCK)
-        yield _play_block(config, np.random.default_rng(seed), size)
+    per_group = BLOCK // ROUND_BLOCK
+    for first in range(0, n_blocks, per_group):
+        draws = [_draw(config, np.random.default_rng(seeds[b]),
+                       min(ROUND_BLOCK, config.trials - b * ROUND_BLOCK))
+                 for b in range(first, min(first + per_group, n_blocks))]
+        yield _classify(config, *map(np.concatenate, zip(*draws)))
 
 
 def _records(block: _Block, length: int) -> Iterator[RoundRecord]:
@@ -316,28 +345,28 @@ def estimate_win_rate(config: GameConfig) -> WinRate:
 
 
 def write_rounds(config: GameConfig, fh: TextIO) -> WinRate:
-    """estimate_win_rate(config), writing each block's rounds to `fh` as
+    """estimate_win_rate(config), writing each group's rounds to `fh` as
     they are played: one JSON line per RoundRecord, without theta."""
     length = ClassifierSpec(config.recipe).dim
 
     def logged() -> Iterator[_Block]:
-        for block in _blocks(config):
-            for record in _records(block, length):
+        for group in _blocks(config):
+            for record in _records(group, length):
                 row = {**vars(record), "function": str(record.function)}
                 del row["theta"]  # summarised as exact_rate
                 fh.write(json.dumps(row) + "\n")
-            yield block
+            yield group
 
     return _tally(config.trials, logged())
 
 
 def _tally(trials: int, blocks: Iterable[_Block]) -> WinRate:
-    """Alice's win rate over the blocks' rounds, with binomial standard
+    """Alice's win rate over the groups' rounds, with binomial standard
     error, 95% Wilson interval and the mean of her exact win chances.
 
     Each win chance is a multiple of 1/L**2 in [0, 1] with L**2 <= 2**12,
     so below 2**40 rounds every float sum is exact in any order, round
-    by round (as over a written log) or block by block."""
+    by round (as over a written log) or group by group."""
     wins = 0
     chances = 0.0
     for block in blocks:

@@ -16,7 +16,7 @@ from basisket import (
     play_round,
 )
 from basisket.classifier import FACTOR_BITS, member_array, member_distances
-from basisket.experiment import _sample_attempts, regions
+from basisket.experiment import BLOCK, _sample_attempts, regions
 from basisket.game import (
     PICK_ATTEMPT_CAP,
     ROUND_BLOCK,
@@ -116,6 +116,17 @@ class TestBobPick:
             h, nearest = bob_pick(RANK4, "uniform_random", seed=seed)
             assert nearest.distance >= 1
             assert nearest == distance_from_class(basis, h)
+
+    @pytest.mark.parametrize("recipe", [("H",), ("C2",), ("H", "H")])
+    def test_uniform_random_redraws_every_member(self, recipe):
+        # members are half or a quarter of all values at L = 2 and 4, so
+        # most first draws of a block hit one and are redrawn
+        spec = ClassifierSpec(recipe)
+        members = member_array(spec)
+        values = _pick(np.random.default_rng(8), recipe, "uniform_random",
+                       None, ROUND_BLOCK)
+        assert not np.isin(values, members).any()
+        assert len(np.unique(values)) == (1 << spec.dim) - len(members)
 
     def test_probe_fallback_reaches_the_rho_singleton(self):
         # only the all-ones function sits at distance 10; random flips
@@ -319,6 +330,36 @@ class TestBlockEngine:
             block = _play_block(config, np.random.default_rng(seed), size)
             replayed = list(_records(block, 16))
             assert replayed == records[b * ROUND_BLOCK:][:size]
+        # a game of more than BLOCK rounds is classified a group of
+        # blocks at a time; blocks on both sides of the group boundary
+        # still replay on their own
+        config = GameConfig(RANK4, "uniform_random", "interval_threshold",
+                            trials=BLOCK + 600, seed=13)
+        groups = list(_blocks(config))
+        assert [len(group.values) for group in groups] == [BLOCK, 600]
+        records = [record for group in groups
+                   for record in _records(group, 16)]
+        first = BLOCK // ROUND_BLOCK  # the first block of the second group
+        for b in (first - 1, first, first + 1):
+            seed = np.random.SeedSequence(config.seed, spawn_key=(b,))
+            size = min(ROUND_BLOCK, config.trials - b * ROUND_BLOCK)
+            block = _play_block(config, np.random.default_rng(seed), size)
+            replayed = list(_records(block, 16))
+            assert replayed == records[b * ROUND_BLOCK:][:size]
+
+    def test_game_working_set_is_one_group(self, heap_peak):
+        # 40,000 L = 64 rounds classified BLOCK at a time: the group's
+        # uint8 distances (512 KB), int16 CDF (1 MB), CDF-below-threshold
+        # mask (512 KB) and one XOR chunk (256 KB).  Bound: 4 MB
+        # (measured 2.6 MB; 0.45 MB for one block, about 14 MB when the
+        # whole game was one group)
+        config = GameConfig(("C2", "C2", "C2"), "pivot", "interval_threshold",
+                            trials=40_000, seed=1)
+        estimate_win_rate(GameConfig(config.recipe, config.bob, config.alice,
+                                     trials=1, seed=1))
+        peak, result = heap_peak(lambda: estimate_win_rate(config))
+        assert result.trials == config.trials
+        assert peak <= 4 << 20
 
     def test_pivot_win_rate_at_length_64(self):
         # at d = 8 of length 64 the nearest member is unique, so every
@@ -353,6 +394,17 @@ class TestOutcomeCdf:
         values = np.random.default_rng(2).integers(
             0, 1 << spec.dim, size=ROUND_BLOCK, dtype=np.uint64)
         dist, _ = member_distances(members, values)
+        w = spec.dim - 2 * dist.astype(np.int16)
+        assert np.array_equal(_outcome_cdf(dist, spec.dim),
+                              np.cumsum(w * w, axis=0, dtype=np.int16))
+
+    @pytest.mark.parametrize("recipe", [RANK4, ("C2", "C2", "C2")])
+    def test_group_of_several_blocks(self, recipe):
+        # more than ROUND_BLOCK rounds are summed row by row
+        spec = ClassifierSpec(recipe)
+        values = np.random.default_rng(4).integers(
+            0, 1 << spec.dim, size=ROUND_BLOCK + 1, dtype=np.uint64)
+        dist, _ = member_distances(member_array(spec), values)
         w = spec.dim - 2 * dist.astype(np.int16)
         assert np.array_equal(_outcome_cdf(dist, spec.dim),
                               np.cumsum(w * w, axis=0, dtype=np.int16))

@@ -76,6 +76,12 @@ AT_DISTANCE_ROUNDS_OUT_SHA256 = {
     ("C2,C2,C2", 8, 100):
         "c024ed6c382cccb3cd4ec6a6b378e135b2bd89f9adb9db5f39ebd8f262bcdeb5",
 }
+#: recorded on 797e3e5: the per-round log of a game of BLOCK + 600
+#: rounds (17 blocks of ROUND_BLOCK and one of 88), so it spans more
+#: than one group of blocks classified together
+MULTI_GROUP_ROUNDS_OUT = (
+    ("C2,C2", "uniform_random", 8792),
+    "05374230b7fb8a440b381578517efe8fc673d1c7979b0f929ece2019ace69eb4")
 #: recorded on d2cefc4: single picks and single rounds, each pick drawing
 #: PICK_ATTEMPT_CAP tries, over strategies and distances on both sides of
 #: L/4 (L = 16 and 64)
@@ -143,6 +149,16 @@ def test_at_distance_rounds_out_bytes(capsys, tmp_path, recipe, distance,
     assert code == 0
     assert sha256(target.read_bytes()) == \
         AT_DISTANCE_ROUNDS_OUT_SHA256[recipe, distance, trials]
+
+
+def test_multi_group_rounds_out_bytes(capsys, tmp_path):
+    (recipe, bob, trials), digest = MULTI_GROUP_ROUNDS_OUT
+    target = tmp_path / "rounds.jsonl"
+    code = cli_dispatch(["game", "--recipe", recipe, "--bob", bob,
+                         "--seed", "6", "--trials", str(trials),
+                         "--rounds-out", str(target)])
+    assert code == 0
+    assert sha256(target.read_bytes()) == digest
 
 
 #: (recipe, strategy, distance) of the single-pick cases

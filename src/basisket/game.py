@@ -252,7 +252,7 @@ def _classify(config: GameConfig, values: np.ndarray,
         outcome=outcome,
         in_nearest=nearest[outcome, np.arange(len(values))],
         alice_yes=alice_yes,
-        theta=(dist.sum(axis=0, dtype=np.uint8)
+        theta=(nearest.view(np.uint8).sum(axis=0, dtype=np.uint8)
                * ket_probabilities(dmin, spec.dim)),
     )
 
@@ -270,7 +270,8 @@ def _outcome_cdf(dist: np.ndarray, length: int) -> np.ndarray:
     whole-array adds give the running sums.  A group of several blocks
     goes row by row instead, M - 1 adds of one row each: once rows are
     longer than a block the doubling's whole-array passes cost more
-    (about 1.5 ms against 0.2 ms at M = 64 and 8192 rounds)."""
+    (about 1.3 ms against 0.2 ms at M = 64 and 8192 rounds, on a 2-vCPU
+    Xeon)."""
     cdf = dist.astype(np.int16)
     cdf *= -2
     cdf += length

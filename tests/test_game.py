@@ -350,8 +350,8 @@ class TestBlockEngine:
     def test_game_working_set_is_one_group(self, heap_peak):
         # 40,000 L = 64 rounds classified BLOCK at a time: the group's
         # uint8 distances (512 KB), int16 CDF (1 MB), CDF-below-threshold
-        # mask (512 KB) and one XOR chunk (256 KB).  Bound: 4 MB
-        # (measured 2.6 MB; 0.45 MB for one block, about 14 MB when the
+        # mask (512 KB) and one XOR chunk (256 KB).  Bound: 4 MiB
+        # (measured 2.5 MiB; 0.4 MiB for one block, 11.2 MiB when the
         # whole game was one group)
         config = GameConfig(("C2", "C2", "C2"), "pivot", "interval_threshold",
                             trials=40_000, seed=1)

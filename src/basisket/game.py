@@ -264,26 +264,14 @@ def _outcome_cdf(dist: np.ndarray, length: int) -> np.ndarray:
     which walks the array column by column.
 
     The weights sum to L**2 <= 4096, so every sum is exact in int16.
-    They are squared in place and summed down the members.  Up to one
-    block of rounds that goes by doubling: after the step of span s
-    each row holds the sum of the 2s rows ending at it, so ceil(log2 M)
-    whole-array adds give the running sums.  A group of several blocks
-    goes row by row instead, M - 1 adds of one row each: once rows are
-    longer than a block the doubling's whole-array passes cost more
-    (about 1.3 ms against 0.2 ms at M = 64 and 8192 rounds, on a 2-vCPU
-    Xeon)."""
+    They are squared in place and summed down the members row by row,
+    M - 1 adds of one row each."""
     cdf = dist.astype(np.int16)
     cdf *= -2
     cdf += length
     cdf *= cdf
-    if cdf.shape[1] > ROUND_BLOCK:
-        for above, row in zip(cdf, cdf[1:]):
-            row += above
-        return cdf
-    span = 1
-    while span < len(cdf):
-        cdf[span:] += cdf[:-span]  # numpy reads the overlap before writing
-        span *= 2
+    for above, row in zip(cdf, cdf[1:]):
+        row += above
     return cdf
 
 

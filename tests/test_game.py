@@ -398,17 +398,6 @@ class TestOutcomeCdf:
         assert np.array_equal(_outcome_cdf(dist, spec.dim),
                               np.cumsum(w * w, axis=0, dtype=np.int16))
 
-    @pytest.mark.parametrize("recipe", [RANK4, ("C2", "C2", "C2")])
-    def test_group_of_several_blocks(self, recipe):
-        # more than ROUND_BLOCK rounds are summed row by row
-        spec = ClassifierSpec(recipe)
-        values = np.random.default_rng(4).integers(
-            0, 1 << spec.dim, size=ROUND_BLOCK + 1, dtype=np.uint64)
-        dist, _ = member_distances(member_array(spec), values)
-        w = spec.dim - 2 * dist.astype(np.int16)
-        assert np.array_equal(_outcome_cdf(dist, spec.dim),
-                              np.cumsum(w * w, axis=0, dtype=np.int16))
-
     def test_every_member_count_from_4_to_64(self):
         # distances 24..40 at L = 64 keep every weight <= 256, so no sum
         # of up to 64 of them leaves int16

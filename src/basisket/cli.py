@@ -89,14 +89,15 @@ def _write_or_print(text: str, out: str | None) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _emit_profile(profile, args, manifest: RunManifest) -> None:
-    body = (profile_to_json(profile, manifest.runtime_seconds)
+def _emit_profile(profile, args, runtime_seconds: float) -> None:
+    body = (profile_to_json(profile, runtime_seconds)
             if args.format == "json" else profile_to_csv(profile))
     _write_or_print(body, args.out)
     if args.out:
-        manifest.outputs.append(args.out)
-        manifest_path = args.out + ".manifest.json"
-        Path(manifest_path).write_text(
+        manifest = RunManifest(args.command, args.recipe, profile.mode,
+                               profile.seed, profile.quotas, [args.out],
+                               runtime_seconds)
+        Path(args.out + ".manifest.json").write_text(
             json.dumps(manifest.to_dict(), indent=2), encoding="utf-8")
     if args.hist:
         chart = (svg_histogram(profile) if args.hist == "svg"
@@ -143,9 +144,7 @@ def cmd_enumerate(args) -> int:
     spec = ClassifierSpec.parse(args.recipe)
     with Stopwatch() as timer:
         profile = exhaustive_profile(spec.factors)
-    manifest = RunManifest("enumerate", args.recipe, "exhaustive", None,
-                           runtime_seconds=timer.elapsed)
-    _emit_profile(profile, args, manifest)
+    _emit_profile(profile, args, timer.elapsed)
     return 0
 
 
@@ -156,9 +155,7 @@ def cmd_sample(args) -> int:
         profile = stratified_sample_profile(
             spec.factors, quotas, args.seed,
             attempt_factor=args.attempt_factor)
-    manifest = RunManifest("sample", args.recipe, "sampled", args.seed,
-                           quotas=quotas, runtime_seconds=timer.elapsed)
-    _emit_profile(profile, args, manifest)
+    _emit_profile(profile, args, timer.elapsed)
     if profile.short_buckets:
         print(f"# short buckets (quota unmet): {list(profile.short_buckets)}")
     print("# probes:")

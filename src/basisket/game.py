@@ -16,15 +16,14 @@ Rounds are drawn in blocks of up to ROUND_BLOCK, the unit of seed
 splitting: block b of a game draws only from
 ``SeedSequence(seed).spawn(n_blocks)[b]``, so it replays, here or on
 another machine, from (seed, b).  Bob picks every function of a block
-at once; at distance d <= L/4 every flip of a member is a pick (see
-_pick), so no distance is checked there.  Then one uniform per round is
-drawn for its measurement.  The drawn blocks are classified a group of
-up to experiment.BLOCK rounds at a time, which moves no draw: one
-popcount matrix gives each round's distances and nearest set, and each
-round's uniform picks the measured ket by inverse CDF over the integer
-outcome weights (L - 2d)**2, the probabilities of
-``classifier.ket_probabilities`` times L**2, squared in place and summed
-down the members (see _outcome_cdf).  Alice's rho is
+at once (see _pick), then one uniform per round is drawn for its
+measurement.  The drawn blocks are classified a group of up to
+experiment.BLOCK rounds at a time, which moves no draw: one popcount
+matrix gives each round's distances and nearest set, and each round's
+uniform picks the measured ket by inverse CDF over the integer outcome
+weights (L - 2d)**2, the probabilities of
+``classifier.ket_probabilities`` times L**2, squared in place and
+summed down the members (see _outcome_cdf).  Alice's rho is
 ``ClassifierSpec.rho()``, computed once per class.
 
 Given h, Alice wins with probability exactly theta(h) if she says yes
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -59,26 +58,49 @@ ALICE_STRATEGIES = ("interval_threshold", "always_yes", "always_no")
 
 @dataclass(frozen=True)
 class GameConfig:
+    """One game.  Bob's arguments are checked when the config is built;
+    `bob_target` is the distance he picks at, None for uniform picks."""
+
     recipe: tuple[str, ...]
     bob: str
     alice: str
     trials: int
     seed: int
     bob_distance: int | None = None  # required for at_distance
+    bob_target: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.bob not in BOB_STRATEGIES:
-            raise ValueError(f"unknown Bob strategy {self.bob!r}")
+        object.__setattr__(self, "bob_target", _bob_target(
+            self.recipe, self.bob, self.bob_distance))
         if self.alice not in ALICE_STRATEGIES:
             raise ValueError(f"unknown Alice strategy {self.alice!r}")
-        if self.bob == "at_distance" and not self.bob_distance:
-            raise ValueError("at_distance strategy needs a positive distance")
-        if self.bob != "at_distance" and self.bob_distance is not None:
-            raise ValueError(
-                f"Bob's distance {self.bob_distance} applies only to the "
-                f"at_distance strategy, not {self.bob}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+
+
+def _bob_target(recipe, strategy: str, distance: int | None) -> int | None:
+    """Bob's target: None for uniform_random, L/8 for pivot, else
+    `distance`.  The one check of what Bob may play: ValueError for an
+    unknown strategy or a distance it cannot play at."""
+    if strategy not in BOB_STRATEGIES:
+        raise ValueError(f"unknown Bob strategy {strategy!r}")
+    if strategy != "at_distance" and distance is not None:
+        raise ValueError(f"Bob's distance {distance} applies only to the "
+                         f"at_distance strategy, not {strategy}")
+    if strategy == "uniform_random":
+        return None
+    length = ClassifierSpec(recipe).dim
+    if strategy == "pivot":
+        distance = regions(length)[0][1]
+        if distance < 1:
+            raise ValueError(f"the pivot distance L/8 is 0 at length {length}: "
+                             "pivot needs L >= 8")
+    elif distance is None or distance < 1:
+        raise ValueError("at_distance strategy needs a positive distance: "
+                         "Bob must pick outside the class, distance >= 1")
+    elif distance > length:
+        raise ValueError(f"distance {distance} exceeds function length {length}")
+    return distance
 
 
 @dataclass(frozen=True)
@@ -108,37 +130,30 @@ def alice_interval_decide(d, n: int, rho: int | None = None):
     return yes if yes.ndim else bool(yes)
 
 
-def _pick(rng: np.random.Generator, recipe: tuple[str, ...], strategy: str,
-          distance: int | None, size: int) -> np.ndarray:
-    """Values of `size` functions outside the class, picked per strategy,
-    in the members' word (uint32/uint64 by length).
+def _pick(rng: np.random.Generator, recipe: tuple[str, ...],
+          target: int | None, size: int) -> np.ndarray:
+    """Values of `size` functions outside the class, in the members'
+    word (uint32/uint64 by length): uniform when `target` is None, else
+    at class distance `target`.  Bob's arguments are checked when the
+    config is built (_bob_target), not here.
 
-    at_distance makes flip attempts (`distance` random bits of a random
-    member) for all pending picks in one sampler call, about ROUND_BLOCK
-    attempts but at least one per pick, and retries only the misses.
-    Each attempt draws its member and then one rank in [0, C(L, distance))
-    that names its flipped bits (`experiment._unrank_subsets`); a
-    pick still missing after PICK_ATTEMPT_CAP attempts takes the first
-    deterministic probe (all-ones, all-zeros, member complements) at
-    that distance.
+    At a distance it makes flip attempts (`target` random bits of a
+    random member, named by one rank in [0, C(L, target)), see
+    `experiment._unrank_subsets`) for all pending picks in one sampler
+    call, about ROUND_BLOCK but at least one per pick, and retries only
+    the misses; after PICK_ATTEMPT_CAP attempts a pick takes the first
+    deterministic probe (all-ones, all-zeros, member complements) there.
 
     At distance d <= L/4 every attempt is a hit: it is d from its own
     member, and members are pairwise L/2 apart, so every other member is
     at least L/2 - d >= d away.  Each pick then takes the first attempt
-    of its row of the first sampler call, which draws the same numbers
-    as before, with no distance check; above L/4 a flip can land nearer
-    another member, and the hit test stays.
+    of its row of the first sampler call, with no distance check; above
+    L/4 a flip can land nearer another member, and the hit test stays.
     """
     spec = ClassifierSpec(recipe)
     members = member_array(spec)
     length = spec.dim
-    if strategy == "pivot":
-        strategy, distance = "at_distance", regions(length)[0][1]
-        if distance < 1:
-            raise ValueError(f"the pivot distance L/8 is 0 at length {length}: "
-                             "pivot needs L >= 8")
-
-    if strategy == "uniform_random":
+    if target is None:
         # drawn as uint64 whatever the word, so the stream stays the same
         values = rng.integers(0, 1 << length, size=size,
                               dtype=np.uint64).astype(members.dtype)
@@ -147,24 +162,17 @@ def _pick(rng: np.random.Generator, recipe: tuple[str, ...], strategy: str,
             values[redraw] = rng.integers(0, 1 << length, size=redraw.size,
                                           dtype=np.uint64)
         return values
-
-    if strategy != "at_distance":
-        raise ValueError(f"unknown Bob strategy {strategy!r}")
-    if not distance or distance < 1:
-        raise ValueError("Bob must pick outside the class: distance >= 1")
-    if distance > length:
-        raise ValueError(f"distance {distance} exceeds function length {length}")
     values = np.empty(size, dtype=members.dtype)
     pending = np.arange(size)
     attempted = 0
     while pending.size and attempted < PICK_ATTEMPT_CAP:
         per_pick = min(max(1, ROUND_BLOCK // pending.size),
                        PICK_ATTEMPT_CAP - attempted)
-        tries = _sample_attempts(rng, members, length, distance,
+        tries = _sample_attempts(rng, members, length, target,
                                  pending.size * per_pick).reshape(-1, per_pick)
-        if 4 * distance <= length:  # every try is a hit: take each first
+        if 4 * target <= length:  # every try is a hit: take each first
             return np.ascontiguousarray(tries[:, 0])
-        hit = member_distances(members, tries)[1] == distance
+        hit = member_distances(members, tries)[1] == target
         found = hit.any(axis=1)
         values[pending[found]] = tries[found, hit[found].argmax(axis=1)]
         pending = pending[~found]
@@ -172,10 +180,10 @@ def _pick(rng: np.random.Generator, recipe: tuple[str, ...], strategy: str,
     if pending.size:
         probes = np.array([h.value for _, h in probe_functions(spec.basis())],
                           dtype=members.dtype)
-        matching = probes[member_distances(members, probes)[1] == distance]
+        matching = probes[member_distances(members, probes)[1] == target]
         if not matching.size:
             raise ValueError(
-                f"no function at distance {distance} from the class reachable "
+                f"no function at distance {target} from the class reachable "
                 f"within {PICK_ATTEMPT_CAP} attempts or via probes")
         values[pending] = matching[0]
     return values
@@ -187,15 +195,11 @@ def bob_pick(
     seed,
     distance: int | None = None,
 ) -> tuple[PatternVector, NearestSet]:
-    """Pick h outside the class per the strategy; deterministic given seed.
-
-    at_distance tries random member flips first and falls back to the
-    deterministic probes (all-ones, all-zeros, member complements) when
-    the exact distance is unreachable by flipping within the attempt
-    cap.  Returns the function together with its exact nearest set.
-    """
+    """h outside the class per the strategy, checked as GameConfig checks
+    it, with its exact nearest set; deterministic given seed."""
     spec = ClassifierSpec(recipe)
-    value = _pick(np.random.default_rng(seed), recipe, strategy, distance, 1)
+    value = _pick(np.random.default_rng(seed), recipe,
+                  _bob_target(recipe, strategy, distance), 1)
     h = PatternVector(int(value[0]), spec.dim)
     return h, classification_threshold(spec, h).nearest
 
@@ -212,17 +216,11 @@ class _Block:
     theta: np.ndarray       # |N| * p(distance), exact
 
 
-def _play_block(config: GameConfig, rng: np.random.Generator,
-                size: int) -> _Block:
-    """`size` rounds drawn from `rng` and classified at once."""
-    return _classify(config, *_draw(config, rng, size))
-
-
 def _draw(config: GameConfig, rng: np.random.Generator,
           size: int) -> tuple[np.ndarray, np.ndarray]:
     """One block's draws from its own generator: Bob's `size` picks,
     then one uniform per round for its measurement."""
-    values = _pick(rng, config.recipe, config.bob, config.bob_distance, size)
+    values = _pick(rng, config.recipe, config.bob_target, size)
     return values, rng.random(size)
 
 
@@ -300,7 +298,8 @@ def _records(block: _Block, length: int) -> Iterator[RoundRecord]:
 
 def play_round(config: GameConfig, round_seed) -> RoundRecord:
     """One full round; bit-for-bit reproducible from its seed."""
-    block = _play_block(config, np.random.default_rng(round_seed), 1)
+    block = _classify(config,
+                      *_draw(config, np.random.default_rng(round_seed), 1))
     return next(_records(block, ClassifierSpec(config.recipe).dim))
 
 

@@ -120,6 +120,12 @@ class TestSample:
         assert doc["mode"] == "sampled"
         assert doc["seed"] == 5
         assert doc["quotas"] == {"1": 20, "2": 20}
+        manifest = json.loads(
+            (tmp_path / "sampled.json.manifest.json").read_text())
+        assert manifest["subcommand"] == "sample"
+        assert manifest["outputs"] == [str(target)]
+        for key in ("mode", "seed", "quotas"):
+            assert manifest[key] == doc[key]
         assert "# probes:" in out
         assert "all_ones" in out
         assert "# region [1, 4] (above_half): consistent" in out
@@ -317,6 +323,25 @@ class TestGame:
         assert err.startswith("error: ")
         assert f"length {length}" in err and "pivot needs L >= 8" in err
         assert "distance >= 1" not in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--recipe", "C2,C2", "--bob", "at_distance", "--distance", "17"),
+         "distance 17 exceeds function length 16"),
+        (("--recipe", "C2,C2", "--bob", "at_distance", "--distance", "-1"),
+         "distance >= 1"),
+        (("--recipe", "H,H", "--bob", "pivot"), "pivot needs L >= 8")])
+    def test_bad_bob_keeps_the_rounds_file(self, capsys, tmp_path, argv,
+                                           message):
+        # Bob's arguments are checked before the rounds file is opened, so
+        # an existing file keeps its bytes.  A distance in [1, L] that no
+        # function reaches (12 on C2,C2) is still found only by drawing.
+        target = tmp_path / "rounds.jsonl"
+        target.write_bytes(b"sentinel")
+        code, out, err = run(capsys, "game", *argv, "--trials", "5",
+                             "--seed", "1", "--rounds-out", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
+        assert target.read_bytes() == b"sentinel"
 
     @pytest.mark.parametrize("trials", [1, ROUND_BLOCK - 1, ROUND_BLOCK,
                                         ROUND_BLOCK + 1, 1500])

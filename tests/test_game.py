@@ -21,9 +21,10 @@ from basisket.game import (
     PICK_ATTEMPT_CAP,
     ROUND_BLOCK,
     _blocks,
+    _classify,
+    _draw,
     _outcome_cdf,
     _pick,
-    _play_block,
     _records,
 )
 from basisket.game import wilson_interval as wilson_95
@@ -65,6 +66,28 @@ class TestGameConfig:
     def test_trials_positive(self):
         with pytest.raises(ValueError, match="trials"):
             GameConfig(RANK4, "pivot", "always_yes", 0, 0)
+
+    @pytest.mark.parametrize("recipe,bob,distance", [
+        (RANK4, "psychic", None), (RANK4, "pivot", 3),
+        (RANK4, "uniform_random", 3), (RANK4, "at_distance", None),
+        (RANK4, "at_distance", 0), (RANK4, "at_distance", -1),
+        (RANK4, "at_distance", 17), (("H", "H"), "pivot", None)],
+        ids=["unknown", "pivot-3", "uniform-3", "none", "zero", "negative",
+             "beyond-L", "pivot-L4"])
+    def test_bob_pick_rejects_the_same_input(self, recipe, bob, distance):
+        # one check serves both entry points, with one message
+        with pytest.raises(ValueError) as config_error:
+            GameConfig(recipe, bob, "always_yes", 10, 0, bob_distance=distance)
+        with pytest.raises(ValueError) as pick_error:
+            bob_pick(recipe, bob, seed=0, distance=distance)
+        assert str(config_error.value) == str(pick_error.value)
+
+    def test_bob_target(self):
+        targets = [GameConfig(RANK4, bob, "always_yes", 10, 0, distance)
+                   .bob_target for bob, distance in (
+                       ("uniform_random", None), ("pivot", None),
+                       ("at_distance", 5))]
+        assert targets == [None, 16 // 8, 5]
 
 
 class TestAliceIntervalDecide:
@@ -123,8 +146,7 @@ class TestBobPick:
         # most first draws of a block hit one and are redrawn
         spec = ClassifierSpec(recipe)
         members = member_array(spec)
-        values = _pick(np.random.default_rng(8), recipe, "uniform_random",
-                       None, ROUND_BLOCK)
+        values = _pick(np.random.default_rng(8), recipe, None, ROUND_BLOCK)
         assert not np.isin(values, members).any()
         assert len(np.unique(values)) == (1 << spec.dim) - len(members)
 
@@ -196,7 +218,7 @@ class TestPickWithinAQuarter:
         spec = ClassifierSpec(recipe)
         per_pick = min(max(1, ROUND_BLOCK // size), PICK_ATTEMPT_CAP)
         rng, replay = np.random.default_rng(9), np.random.default_rng(9)
-        values = _pick(rng, recipe, "at_distance", distance, size)
+        values = _pick(rng, recipe, distance, size)
         tries = _sample_attempts(replay, member_array(spec), spec.dim,
                                  distance, size * per_pick)
         assert np.array_equal(values, tries[::per_pick])
@@ -327,7 +349,8 @@ class TestBlockEngine:
         for b in range(3):
             seed = np.random.SeedSequence(config.seed, spawn_key=(b,))
             size = min(ROUND_BLOCK, config.trials - b * ROUND_BLOCK)
-            block = _play_block(config, np.random.default_rng(seed), size)
+            block = _classify(config, *_draw(
+                config, np.random.default_rng(seed), size))
             replayed = list(_records(block, 16))
             assert replayed == records[b * ROUND_BLOCK:][:size]
         # a game of more than BLOCK rounds is classified a group of
@@ -343,7 +366,8 @@ class TestBlockEngine:
         for b in (first - 1, first, first + 1):
             seed = np.random.SeedSequence(config.seed, spawn_key=(b,))
             size = min(ROUND_BLOCK, config.trials - b * ROUND_BLOCK)
-            block = _play_block(config, np.random.default_rng(seed), size)
+            block = _classify(config, *_draw(
+                config, np.random.default_rng(seed), size))
             replayed = list(_records(block, 16))
             assert replayed == records[b * ROUND_BLOCK:][:size]
 
@@ -379,10 +403,9 @@ class TestBlockEngine:
 
     def test_distance_bounds(self):
         for distance, message in ((-1, "distance >= 1"), (17, "exceeds")):
-            config = GameConfig(RANK4, "at_distance", "always_yes",
-                                trials=3, seed=0, bob_distance=distance)
             with pytest.raises(ValueError, match=message):
-                estimate_win_rate(config)
+                GameConfig(RANK4, "at_distance", "always_yes",
+                           trials=3, seed=0, bob_distance=distance)
 
 
 class TestOutcomeCdf:

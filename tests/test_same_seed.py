@@ -14,6 +14,8 @@ import pytest
 from basisket import (GameConfig, bob_pick, exhaustive_profile, play_round,
                       stratified_sample_profile)
 from basisket.cli import cli_dispatch
+from basisket.report import (ascii_histogram, profile_to_csv, profile_to_json,
+                             svg_histogram)
 
 SAMPLE_NEAREST_SHA256 = (
     "ef24e1ac1d95950d6ddb0d66b773ecc94398fbc856ee4ef6a216b00abf8bf1df")
@@ -89,6 +91,38 @@ SINGLE_PICK_SHA256 = (
     "49aca35ce4c45bb16acd8bcffb6ac2d2dee130475cdf7f31a0a854ee2862771a")
 SINGLE_ROUND_SHA256 = (
     "484bf576e4511018996b519b68ad05650bb93bf906f07c20032aa6d78c3a4734")
+#: recorded on 0e5110d: each profile writer's bytes (JSON at runtime 0.0,
+#: CSV, ASCII and SVG) of an exhaustive profile and of the L=64 sample
+#: of MULTI_BLOCK_SAMPLES, whose d=30 bucket is short
+WRITERS = {"json": lambda p: profile_to_json(p, 0.0), "csv": profile_to_csv,
+           "ascii": ascii_histogram, "svg": svg_histogram}
+WRITER_SHA256 = {
+    "C2,C2": {
+        "json":
+            "e9fc62dd2114b5b0f33c1e02bcc0d3c034f008f770223dc1c5afafe9a355c021",
+        "csv":
+            "13fcbf73bff1ee163d6bd40296eafd2976a79b98d890897f89ab1bdb41192346",
+        "ascii":
+            "f74a00d920e3ed486b71b3cf6c32caa03c6b04ca692938f52e5d51457fd16fad",
+        "svg":
+            "1f56678e8abe20d51602d54330d41234f22c4c6b854f4b7f2b9f4697d7ca0f0a",
+    },
+    "L64": {
+        "json":
+            "faa913d21ab43c940754e8aac935744caa90f450964f3af18a8ab6401fe80c7a",
+        "csv":
+            "4a47024f85ca60666d32bb1fbdabc106f3cd40007a5e1931db1ea2452cfee7b7",
+        "ascii":
+            "e82669a2fbb59f1167242c9f7b7638e8bc624dee2ccf3fd7b405af43e72863cc",
+        "svg":
+            "0ac3ac254e6cc631509359086cb47741f918a216da55e1b7b6f2bd0d0475cec7",
+    },
+}
+#: recorded on 0e5110d: `tables --which N` stdout, DIFF lines included
+TABLES_STDOUT_SHA256 = {
+    3: "aec76bb7e68cc58cf1d2a944a3dd1c027e1d365602886693dac7dc2d06bed400",
+    5: "86b187dd69545b3741a65b3e93a92afdeb9c2fa11a026baf720d625e6981135c",
+}
 
 
 def sha256(data: bytes) -> str:
@@ -198,3 +232,25 @@ def test_game_stdout_bytes(capsys):
     assert code == 0
     assert sha256(capsys.readouterr().out.encode("utf-8")) == \
         GAME_STDOUT_SHA256
+
+
+@pytest.fixture(scope="module")
+def writer_profiles():
+    (recipe, quotas, seed, factor), _, _ = MULTI_BLOCK_SAMPLES["L64"]
+    return {"C2,C2": exhaustive_profile(("C2", "C2")),
+            "L64": stratified_sample_profile(recipe, quotas, seed=seed,
+                                             attempt_factor=factor)}
+
+
+@pytest.mark.parametrize("case,writer", [
+    (case, writer) for case in sorted(WRITER_SHA256) for writer in WRITERS])
+def test_profile_writer_bytes(writer_profiles, case, writer):
+    text = WRITERS[writer](writer_profiles[case])
+    assert sha256(text.encode("utf-8")) == WRITER_SHA256[case][writer]
+
+
+@pytest.mark.parametrize("which", sorted(TABLES_STDOUT_SHA256))
+def test_tables_stdout_bytes(capsys, which):
+    assert cli_dispatch(["tables", "--which", str(which)]) == 2
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == \
+        TABLES_STDOUT_SHA256[which]

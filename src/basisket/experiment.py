@@ -65,7 +65,8 @@ class Bucket(NamedTuple):
 class DistanceProfile:
     """``nearest[d, k]`` counts the functions at class distance d with k
     nearest members.  Each has theta = k (L - 2d)**2 / L**2, so every
-    bucket's count, mean, minimum and maximum follow exactly.  The
+    bucket's count, mean, minimum and maximum follow exactly; `rows()`
+    is the one place a row of the table becomes these statistics.  The
     length L is the recipe's, read off the table's shape."""
 
     recipe: tuple[str, ...]
@@ -99,29 +100,22 @@ class DistanceProfile:
         self.nearest += np.bincount(
             distances * size + nearest, minlength=size * size).reshape(size, size)
 
-    def bucket(self, distance: int) -> Bucket:
-        """Count, exact mean (one correctly rounded int division), min
-        and max theta at `distance`, from its {|N|: function count} row."""
-        row = {k: n for k, n in enumerate(self.nearest[distance].tolist()) if n}
-        if not row:
-            raise ValueError(f"no samples at distance {distance}")
-        count = sum(row.values())
-        return Bucket(
-            count,
-            self._theta(distance, sum(k * n for k, n in row.items()), count),
-            self._theta(distance, min(row)), self._theta(distance, max(row)),
-            row)
-
-    def mean(self, distance: int) -> float:
-        return self.bucket(distance).mean
-
-    def _theta(self, distance: int, weight: int, count: int = 1) -> float:
-        return (weight * (self.length - 2 * distance) ** 2
-                / (count * self.length ** 2))
-
-    def populated(self) -> list[int]:
-        """Distances with at least one sample."""
-        return np.flatnonzero(self.counts).tolist()
+    def rows(self) -> dict[int, Bucket]:
+        """Every populated distance, ascending, with its Bucket: count,
+        exact mean (one correctly rounded int division), min and max
+        theta, all from its {|N|: function count} row in one pass."""
+        size = self.length
+        rows = {}
+        for d, line in enumerate(self.nearest.tolist()):
+            row = {k: n for k, n in enumerate(line) if n}
+            if row:
+                count = sum(row.values())
+                scale, den = (size - 2 * d) ** 2, size ** 2
+                rows[d] = Bucket(
+                    count,
+                    sum(k * n for k, n in row.items()) * scale / (count * den),
+                    min(row) * scale / den, max(row) * scale / den, row)
+        return rows
 
     def total(self) -> int:
         return int(self.nearest.sum())
@@ -440,16 +434,16 @@ def interval_summary(profile: DistanceProfile) -> IntervalSummary:
     buckets are skipped.  Monotonicity violations are reported
     informationally and never fail a region.
     """
-    if profile.total() == 0:
+    means = {d: bucket.mean for d, bucket in profile.rows().items()}
+    if not means:
         raise ValueError("profile is empty")
     uniform_rho = ClassifierSpec(profile.recipe).rho()
 
     def check(low: int, high: int, expectation: str) -> RegionVerdict:
         bad = []
-        for d in profile.populated():
+        for d, mean in means.items():
             if not low <= d <= high:
                 continue
-            mean = profile.mean(d)
             if expectation == "above_half":
                 ok = mean > 0.5
             elif expectation == "below_half":
@@ -467,13 +461,10 @@ def interval_summary(profile: DistanceProfile) -> IntervalSummary:
         check(low, high, expectation)
         for (low, high), expectation in zip(
             regions(profile.length), ("above_half", "below_half", "zero")))
-    spike = None
-    if uniform_rho is not None and profile.counts[uniform_rho] > 0:
-        spike = profile.mean(uniform_rho)
-    pop = [d for d in profile.populated() if d >= 1]
-    mono = tuple(
-        d2 for d1, d2 in zip(pop, pop[1:])
-        if profile.mean(d2) > profile.mean(d1) + 1e-12)
+    spike = means.get(uniform_rho)  # None without a rho or samples there
+    pop = [(d, mean) for d, mean in means.items() if d >= 1]
+    mono = tuple(d2 for (_, m1), (d2, m2) in zip(pop, pop[1:])
+                 if m2 > m1 + 1e-12)
     return IntervalSummary(verdicts, uniform_rho, spike, mono)
 
 

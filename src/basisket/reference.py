@@ -109,9 +109,10 @@ def _cells(which: int):
         profile = stratified_sample_profile(
             TABLE_7_RECIPE, {d: TABLE_7_QUOTA for d in range(1, 16)},
             TABLE_7_SEED, attempt_factor=TABLE_7_ATTEMPT_FACTOR)
+        rows = profile.rows()
         for low, high, lo, hi in TABLE_7_REGIONS:
             for d in range(low, high + 1):
-                mean = profile.mean(d) if profile.counts[d] else math.nan
+                mean = rows[d].mean if d in rows else math.nan
                 yield name, d, (lo + hi) / 2, mean, (hi - lo) / 2
         for probe, report in probe_suite(TABLE_7_RECIPE):
             if probe.startswith("complement_of_member"):
@@ -130,7 +131,7 @@ def _cells(which: int):
     else:
         for recipes, column in EXHAUSTIVE_TABLES[which]:
             for recipe in recipes:
-                profile = exhaustive_profile(recipe)
+                rows = exhaustive_profile(recipe).rows()
                 for d, want in column.items():
-                    actual = profile.mean(d) if profile.counts[d] else 0.0
+                    actual = rows[d].mean if d in rows else 0.0
                     yield ",".join(recipe), d, want, actual, cell_tolerance(want)

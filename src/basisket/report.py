@@ -1,7 +1,8 @@
 """Serialization and chart emitters for profiles and distributions.
 
-CSV schema per profile row: distance, count, mean_theta, min_theta,
-max_theta; CSV is export-only.  The JSON envelope carries the recipe,
+Every writer reads a profile through ``DistanceProfile.rows()``, its one
+row summary.  CSV schema per profile row: distance, count, mean_theta,
+min_theta, max_theta; CSV is export-only.  The JSON envelope carries the recipe,
 mode, length, seed, quotas, short buckets and runtime next to the same
 rows, each with one more key, ``"nearest": {"k": n, ...}``, the function
 count n of each nearest-set size k at that distance; reading a file
@@ -66,22 +67,17 @@ class Stopwatch:
         self.elapsed = time.perf_counter() - self.start
 
 
-def profile_rows(profile: DistanceProfile) -> list[tuple[int, int, float, float, float]]:
-    """(distance, count, mean, min, max theta) per populated distance."""
-    return [(d, *profile.bucket(d)[:4]) for d in profile.populated()]
-
-
 def profile_to_csv(profile: DistanceProfile) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(PROFILE_CSV_HEADER)
-    for d, count, mean, lo, hi in profile_rows(profile):
-        writer.writerow([d, count, repr(mean), repr(lo), repr(hi)])
+    for d, b in profile.rows().items():
+        writer.writerow([d, b.count, repr(b.mean), repr(b.min_theta),
+                         repr(b.max_theta)])
     return buf.getvalue()
 
 
 def profile_to_json(profile: DistanceProfile, runtime: float = 0.0) -> str:
-    buckets = {d: profile.bucket(d) for d in profile.populated()}
     doc = {
         "recipe": ",".join(profile.recipe),
         "mode": profile.mode,
@@ -94,7 +90,7 @@ def profile_to_json(profile: DistanceProfile, runtime: float = 0.0) -> str:
             {"distance": d, "count": b.count, "mean_theta": b.mean,
              "min_theta": b.min_theta, "max_theta": b.max_theta,
              "nearest": {str(k): n for k, n in b.nearest.items()}}
-            for d, b in buckets.items()
+            for d, b in profile.rows().items()
         ],
     }
     return json.dumps(doc, indent=2)
@@ -224,12 +220,12 @@ def distribution_to_json(probs: np.ndarray, n_bits: int) -> str:
 
 def ascii_histogram(profile: DistanceProfile) -> str:
     """Two fixed-width bars per populated distance: count and mean theta."""
-    rows = profile_rows(profile)
+    rows = profile.rows()
     if not rows:
         raise ValueError("profile is empty")
-    max_count = max(r[1] for r in rows)
+    max_count = max(b.count for b in rows.values())
     lines = [f"recipe {','.join(profile.recipe)}  mode {profile.mode}"]
-    for d, count, mean, _, _ in rows:
+    for d, (count, mean, *_) in rows.items():
         cbar = "#" * max(1, round(ASCII_BAR_WIDTH * count / max_count))
         tbar = "*" * round(ASCII_BAR_WIDTH * mean)
         lines.append(f"d={d:3d}  count {count:>10d} |{cbar:<{ASCII_BAR_WIDTH}}|")
@@ -240,12 +236,12 @@ def ascii_histogram(profile: DistanceProfile) -> str:
 def svg_histogram(profile: DistanceProfile) -> str:
     """Standalone SVG with a count series (green) and a mean-theta series
     (red), one bar pair per populated distance."""
-    rows = profile_rows(profile)
+    rows = profile.rows()
     if not rows:
         raise ValueError("profile is empty")
     width, height, margin = 800, 400, 50
     plot_w, plot_h = width - 2 * margin, height - 2 * margin
-    max_count = max(r[1] for r in rows)
+    max_count = max(b.count for b in rows.values())
     slot = plot_w / len(rows)
     bar = slot * 0.38
 
@@ -257,7 +253,7 @@ def svg_histogram(profile: DistanceProfile) -> str:
         f'font-family="monospace">recipe {",".join(profile.recipe)} '
         f'({profile.mode})</text>',
     ]
-    for k, (d, count, mean, _, _) in enumerate(rows):
+    for k, (d, (count, mean, *_)) in enumerate(rows.items()):
         x0 = margin + k * slot
         ch = plot_h * count / max_count
         th = plot_h * mean

@@ -130,14 +130,15 @@ class TestCriterion2Table3:
     @pytest.mark.parametrize("d", sorted(TABLE_3))
     def test_cell(self, table3_profiles, recipe, d):
         want = TABLE_3[d]
-        profile = table3_profiles[recipe]
-        actual = profile.mean(d) if profile.counts[d] > 0 else 0.0
+        rows = table3_profiles[recipe].rows()
+        actual = rows[d].mean if d in rows else 0.0
         assert actual == pytest.approx(want, abs=cell_tolerance(want))
 
     @pytest.mark.parametrize("recipe", TABLE_3_RECIPES,
                              ids=[",".join(r) for r in TABLE_3_RECIPES])
     def test_analytic_distance_one_value(self, table3_profiles, recipe):
-        assert table3_profiles[recipe].mean(1) == pytest.approx(0.5625, abs=1e-12)
+        assert table3_profiles[recipe].rows()[1].mean == \
+            pytest.approx(0.5625, abs=1e-12)
 
 
 class TestCriterion3Table5:
@@ -147,8 +148,8 @@ class TestCriterion3Table5:
     @pytest.mark.parametrize("d", range(1, 17))
     def test_cell(self, table5_profiles, recipe, table, d):
         want = table[d]
-        profile = table5_profiles[recipe]
-        actual = profile.mean(d) if profile.counts[d] > 0 else 0.0
+        rows = table5_profiles[recipe].rows()
+        actual = rows[d].mean if d in rows else 0.0
         assert actual == pytest.approx(want, abs=cell_tolerance(want))
 
 
@@ -282,11 +283,11 @@ class TestCriterion6Table7Intervals:
 
     @pytest.mark.parametrize("d", range(1, 5))
     def test_confident_region_above_half(self, table7_profile, d):
-        assert table7_profile.mean(d) > 0.5
+        assert table7_profile.rows()[d].mean > 0.5
 
     @pytest.mark.parametrize("d", range(5, 16))
     def test_fading_region_strictly_between(self, table7_profile, d):
-        assert 0.0 < table7_profile.mean(d) < 0.5
+        assert 0.0 < table7_profile.rows()[d].mean < 0.5
 
     def test_member_complements_at_sixteen(self):
         for name, report in probe_suite(self.RECIPE):

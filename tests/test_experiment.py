@@ -1,5 +1,7 @@
 import json
 import math
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -53,25 +55,26 @@ class TestExhaustiveProfile:
     def test_rank4_full_census(self):
         profile = exhaustive_profile(("C2", "C2"))
         assert profile.total() == 1 << 16
-        assert profile.populated() == sorted(C2C2_EXPECTED)
+        rows = profile.rows()
+        assert list(rows) == sorted(C2C2_EXPECTED)
         for d, (count, mean) in C2C2_EXPECTED.items():
-            assert profile.counts[d] == count
+            assert profile.counts[d] == rows[d].count == count
             # exact: the mean is the correctly rounded rational
-            assert profile.mean(d) == mean
+            assert rows[d].mean == mean
 
     def test_rank3_counts_and_means(self):
         profile = exhaustive_profile(("H", "C2"))
         assert [int(profile.counts[d]) for d in range(5)] == [8, 64, 104, 64, 16]
-        assert profile.mean(1) == pytest.approx(0.5625, abs=1e-12)
-        assert profile.mean(2) == pytest.approx(7 / 13, abs=1e-12)
-        assert profile.mean(3) == pytest.approx(0.21875, abs=1e-12)
-        assert profile.mean(4) == pytest.approx(0.0, abs=1e-9)
+        rows = profile.rows()
+        assert rows[1].mean == pytest.approx(0.5625, abs=1e-12)
+        assert rows[2].mean == pytest.approx(7 / 13, abs=1e-12)
+        assert rows[3].mean == pytest.approx(0.21875, abs=1e-12)
+        assert rows[4].mean == pytest.approx(0.0, abs=1e-9)
         # distance 2 spans a wide threshold range, up to a perfect score
-        assert profile.bucket(2).min_theta == 0.25
-        assert profile.bucket(2).max_theta == 1.0
+        assert rows[2].min_theta == 0.25
+        assert rows[2].max_theta == 1.0
         # no length-8 function is 5 or more from this class
-        with pytest.raises(ValueError, match="no samples at distance 5"):
-            profile.bucket(5)
+        assert list(rows) == [0, 1, 2, 3, 4]
 
     def test_batch_thetas_is_independent_of_blocking(self):
         # the kernel walks its values BLOCK at a time; any split of a
@@ -124,12 +127,67 @@ class TestExhaustiveProfile:
             check.add_batch(np.array([d]), np.array([k]))
             thetas.setdefault(d, []).append(k * ((8 - 2 * d) / 8) ** 2)
         assert np.array_equal(profile.nearest, check.nearest)
-        assert sorted(thetas) == profile.populated()
+        rows = profile.rows()
+        assert sorted(thetas) == list(rows)
         for d, ts in thetas.items():
             # the thetas are dyadic, so their sum is exact
-            assert profile.mean(d) == math.fsum(ts) / len(ts)
-            assert profile.bucket(d).min_theta == min(ts)
-            assert profile.bucket(d).max_theta == max(ts)
+            assert rows[d].mean == math.fsum(ts) / len(ts)
+            assert rows[d].min_theta == min(ts)
+            assert rows[d].max_theta == max(ts)
+
+
+#: every recipe short enough to enumerate, L <= 16 (H takes 1 bit, C2 2)
+EXHAUSTIVE_RECIPES = [
+    ",".join(recipe) for n in range(1, 5)
+    for recipe in product(("H", "C2"), repeat=n)
+    if sum({"H": 1, "C2": 2}[f] for f in recipe) <= 4]
+
+
+@pytest.fixture(scope="module")
+def sampled_shards():
+    quotas = {1: 20, 4: 20, 9: 20, 13: 5}
+    return [stratified_sample_profile(SAMPLED_RECIPE, quotas, seed=seed)
+            for seed in (1, 2)]
+
+
+class TestRows:
+    def test_every_length_up_to_16_is_listed(self):
+        assert len(EXHAUSTIVE_RECIPES) == 11
+        assert {ClassifierSpec(r.split(",")).dim
+                for r in EXHAUSTIVE_RECIPES} == {2, 4, 8, 16}
+
+    @pytest.mark.parametrize("case",
+                             [*EXHAUSTIVE_RECIPES, "sampled", "merged"])
+    def test_rows_are_the_exact_rationals(self, sampled_shards, case):
+        if case == "sampled":
+            profile = sampled_shards[0]
+        elif case == "merged":
+            profile = merge_profiles(*sampled_shards)
+        else:
+            profile = exhaustive_profile(case.split(","))
+        # theta = k (L - 2d)**2 / L**2 for each of the n_k functions with
+        # k nearest members; each statistic is its rational, rounded once
+        length, rows = profile.length, profile.rows()
+        populated = [d for d in range(length + 1) if profile.nearest[d].any()]
+        assert list(rows) == populated  # ascending, every populated row
+        for d, bucket in rows.items():
+            row = {k: int(n) for k, n in enumerate(profile.nearest[d]) if n}
+            count = sum(row.values())
+            scale = (length - 2 * d) ** 2
+            assert bucket.nearest == row
+            assert bucket.count == count == profile.counts[d]
+            assert bucket.mean == float(Fraction(
+                sum(k * n * scale for k, n in row.items()),
+                count * length ** 2))
+            assert bucket.min_theta == float(
+                Fraction(min(row) * scale, length ** 2))
+            assert bucket.max_theta == float(
+                Fraction(max(row) * scale, length ** 2))
+            # the mean is exact, so it never leaves [min, max]
+            assert bucket.min_theta <= bucket.mean <= bucket.max_theta
+
+    def test_empty_profile_has_no_rows(self):
+        assert DistanceProfile.empty(("H",), "exhaustive").rows() == {}
 
 
 def _exhaustive_unrank_cases():
@@ -266,8 +324,8 @@ class TestStratifiedSampleProfile:
         nearest = distance_from_class(basis, h)
         assert nearest.distance == 1
         want = len(nearest.indices) * ((32 - 2) / 32) ** 2
-        assert profile.bucket(1).min_theta == want
-        assert profile.bucket(1).max_theta == want
+        assert profile.rows()[1].min_theta == want
+        assert profile.rows()[1].max_theta == want
 
     def test_unreachable_bucket_is_flagged_not_fatal(self):
         # distance-15 hits are ~5e-5 of attempts; a factor-2 cap must
@@ -365,9 +423,12 @@ class TestMergeProfiles:
         merged = merge_profiles(a, b)
         assert np.array_equal(merged.counts, a.counts + b.counts)
         assert np.array_equal(merged.nearest, a.nearest + b.nearest)
+        rows, a_rows, b_rows = merged.rows(), a.rows(), b.rows()
         for d in (1, 2):
-            assert merged.bucket(d).min_theta == min(a.bucket(d).min_theta, b.bucket(d).min_theta)
-            assert merged.bucket(d).max_theta == max(a.bucket(d).max_theta, b.bucket(d).max_theta)
+            assert rows[d].min_theta == min(a_rows[d].min_theta,
+                                            b_rows[d].min_theta)
+            assert rows[d].max_theta == max(a_rows[d].max_theta,
+                                            b_rows[d].max_theta)
 
     def test_merge_is_independent_of_order_and_grouping(self):
         quotas = {1: 10, 2: 10}

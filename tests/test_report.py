@@ -12,7 +12,6 @@ from basisket.report import (
     distribution_to_csv,
     distribution_to_json,
     profile_from_json,
-    profile_rows,
     profile_to_csv,
     profile_to_json,
     svg_histogram,
@@ -38,7 +37,7 @@ class TestCsv:
     def test_header_and_rows(self, profile):
         lines = profile_to_csv(profile).splitlines()
         assert lines[0] == ",".join(PROFILE_CSV_HEADER)
-        assert len(lines) == 1 + len(profile.populated())
+        assert len(lines) == 1 + len(profile.rows())
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "8"
 
@@ -212,7 +211,7 @@ class TestJson:
         doc = json.loads(profile_to_json(profile))
         assert doc["recipe"] == "H,C2"
         assert doc["length"] == 8
-        assert [r["distance"] for r in doc["rows"]] == profile.populated()
+        assert [r["distance"] for r in doc["rows"]] == list(profile.rows())
         # nearest-set sizes that occur, with their function counts
         assert doc["rows"][0]["nearest"] == {"1": 8}
         for row in doc["rows"]:
@@ -240,7 +239,7 @@ class TestCharts:
         chart = ascii_histogram(profile)
         lines = chart.splitlines()
         assert lines[0].startswith("recipe H,C2")
-        assert len(lines) == 1 + 2 * len(profile.populated())
+        assert len(lines) == 1 + 2 * len(profile.rows())
         assert any("#" in line for line in lines)
         assert any("*" in line for line in lines)
 
@@ -251,7 +250,7 @@ class TestCharts:
         assert root.tag.endswith("svg")
         rects = [e for e in root.iter() if e.tag.endswith("rect")]
         # background plus one count bar and one theta bar per distance
-        assert len(rects) == 1 + 2 * len(profile.populated())
+        assert len(rects) == 1 + 2 * len(profile.rows())
 
     def test_empty_profile_rejected(self):
         from basisket import DistanceProfile
@@ -274,10 +273,3 @@ class TestManifestAndStopwatch:
         with Stopwatch() as timer:
             sum(range(1000))
         assert timer.elapsed > 0
-
-    def test_profile_rows_match_means(self, profile):
-        for d, count, mean, lo, hi in profile_rows(profile):
-            assert count == profile.counts[d]
-            assert mean == profile.mean(d)
-            # the mean is exact, so it never leaves [min, max]
-            assert lo <= mean <= hi

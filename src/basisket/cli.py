@@ -192,8 +192,18 @@ def cmd_game(args) -> int:
         trials=args.trials, seed=args.seed,
         bob_distance=args.distance)
     if args.rounds_out:
-        with open(args.rounds_out, "w", encoding="utf-8") as fh:
-            result = write_rounds(config, fh)
+        # a game can fail while it plays (a Bob distance no pick reaches),
+        # so the rounds go to a file beside the target, which replaces the
+        # target only once the game completes
+        partial = f"{args.rounds_out}.{os.getpid()}.partial"
+        try:
+            with open(partial, "w", encoding="utf-8") as fh:
+                result = write_rounds(config, fh)
+            os.replace(partial, args.rounds_out)
+        except BaseException:
+            if os.path.exists(partial):
+                os.remove(partial)
+            raise
     else:
         result = estimate_win_rate(config)
     print(json.dumps({

@@ -333,8 +333,7 @@ class TestGame:
     def test_bad_bob_keeps_the_rounds_file(self, capsys, tmp_path, argv,
                                            message):
         # Bob's arguments are checked before the rounds file is opened, so
-        # an existing file keeps its bytes.  A distance in [1, L] that no
-        # function reaches (12 on C2,C2) is still found only by drawing.
+        # an existing file keeps its bytes.
         target = tmp_path / "rounds.jsonl"
         target.write_bytes(b"sentinel")
         code, out, err = run(capsys, "game", *argv, "--trials", "5",
@@ -342,6 +341,24 @@ class TestGame:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and message in err
         assert target.read_bytes() == b"sentinel"
+
+    @pytest.mark.parametrize("recipe,distance,trials", [
+        ("C2,C2", 12, 5), ("C2,C2,C2", 29, 50)])
+    def test_unreachable_bob_keeps_the_rounds_file(self, capsys, tmp_path,
+                                                   recipe, distance, trials):
+        # no function of C2,C2 is 12 from the class, and flips do not
+        # reach the nonempty d = 29 shell of C2,C2,C2: the game fails
+        # while it plays, after its rounds file would have been opened
+        target = tmp_path / "rounds.jsonl"
+        target.write_bytes(b"sentinel")
+        code, out, err = run(capsys, "game", "--recipe", recipe,
+                             "--bob", "at_distance", "--distance",
+                             str(distance), "--trials", str(trials),
+                             "--seed", "1", "--rounds-out", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: no function at distance {distance} ")
+        assert target.read_bytes() == b"sentinel"
+        assert list(tmp_path.iterdir()) == [target]  # no partial file left
 
     @pytest.mark.parametrize("trials", [1, ROUND_BLOCK - 1, ROUND_BLOCK,
                                         ROUND_BLOCK + 1, 1500])

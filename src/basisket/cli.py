@@ -200,10 +200,9 @@ def cmd_game(args) -> int:
             with open(partial, "w", encoding="utf-8") as fh:
                 result = write_rounds(config, fh)
             os.replace(partial, args.rounds_out)
-        except BaseException:
-            if os.path.exists(partial):
+        finally:
+            if os.path.exists(partial):  # the game failed
                 os.remove(partial)
-            raise
     else:
         result = estimate_win_rate(config)
     print(json.dumps({

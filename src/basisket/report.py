@@ -2,13 +2,13 @@
 
 Every writer reads a profile through ``DistanceProfile.rows()``, its one
 row summary.  CSV schema per profile row: distance, count, mean_theta,
-min_theta, max_theta; CSV is export-only.  The JSON envelope carries the recipe,
-mode, length, seed, quotas, short buckets and runtime next to the same
-rows, each with one more key, ``"nearest": {"k": n, ...}``, the function
-count n of each nearest-set size k at that distance; reading a file
-back checks that every field is there with its JSON type, then its
-mode, its recipe's length, seed, quotas and short buckets, then
-rebuilds the exact (distance, |N|) table from its rows.
+min_theta, max_theta; CSV is export-only.  The JSON envelope carries the
+recipe, mode, length, seed, quotas, short buckets and runtime next to the
+same rows, each with one more key, ``"nearest": {"k": n, ...}``, the
+function count n of each nearest-set size k at that distance; reading a
+file back checks that every field is there with its JSON type, then its
+mode, its recipe's length, seed, quotas and short buckets, then rebuilds
+the exact (distance, |N|) table from its rows.
 Charts show two series per distance, function count and mean threshold,
 as fixed-width ASCII bars or a standalone SVG.
 """

@@ -99,15 +99,12 @@ def _emit_profile(profile, args, runtime_seconds: float) -> None:
                                runtime_seconds)
         Path(args.out + ".manifest.json").write_text(
             json.dumps(manifest.to_dict(), indent=2), encoding="utf-8")
-    if args.hist:
-        chart = (svg_histogram(profile) if args.hist == "svg"
-                 else ascii_histogram(profile))
-        if args.hist == "svg":
-            target = (args.out or "profile") + ".svg"
-            Path(target).write_text(chart, encoding="utf-8")
-            print(f"histogram written to {target}")
-        else:
-            sys.stdout.write(chart)
+    if args.hist == "svg":
+        target = (args.out or "profile") + ".svg"
+        Path(target).write_text(svg_histogram(profile), encoding="utf-8")
+        print(f"histogram written to {target}")
+    elif args.hist:
+        sys.stdout.write(ascii_histogram(profile))
 
 
 def cmd_bases(args) -> int:
@@ -191,20 +188,27 @@ def cmd_game(args) -> int:
         bob=args.bob, alice=args.alice,
         trials=args.trials, seed=args.seed,
         bob_distance=args.distance)
-    if args.rounds_out:
-        # a game can fail while it plays (a Bob distance no pick reaches),
-        # so the rounds go to a file beside the target, which replaces the
-        # target only once the game completes
-        partial = f"{args.rounds_out}.{os.getpid()}.partial"
+    if not args.rounds_out:
+        result = estimate_win_rate(config)
+    elif os.path.exists(args.rounds_out) and \
+            not os.path.isfile(args.rounds_out):
+        # a pipe or a device (/dev/stdout, /dev/fd/N): stream into it
+        with open(args.rounds_out, "w", encoding="utf-8") as fh:
+            result = write_rounds(config, fh)
+    else:
+        # a game can fail while it plays (a Bob distance no pick reaches):
+        # write beside the file, through any symlink, and rename on success
+        target = os.path.realpath(args.rounds_out)
+        partial = f"{target}.{os.getpid()}.partial"
         try:
             with open(partial, "w", encoding="utf-8") as fh:
                 result = write_rounds(config, fh)
-            os.replace(partial, args.rounds_out)
+            os.replace(partial, target)
+        except OSError as exc:  # name the file given, not the partial file
+            raise OSError(exc.errno, exc.strerror, args.rounds_out) from None
         finally:
             if os.path.exists(partial):  # the game failed
                 os.remove(partial)
-    else:
-        result = estimate_win_rate(config)
     print(json.dumps({
         "recipe": args.recipe, "bob": args.bob, "alice": args.alice,
         "distance": args.distance, "trials": args.trials, "seed": args.seed,

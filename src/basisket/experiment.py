@@ -104,13 +104,12 @@ class DistanceProfile:
         """Every populated distance, ascending, with its Bucket: count,
         exact mean (one correctly rounded int division), min and max
         theta, all from its {|N|: function count} row in one pass."""
-        size = self.length
-        rows = {}
+        den, rows = self.length ** 2, {}
         for d, line in enumerate(self.nearest.tolist()):
             row = {k: n for k, n in enumerate(line) if n}
             if row:
                 count = sum(row.values())
-                scale, den = (size - 2 * d) ** 2, size ** 2
+                scale = (self.length - 2 * d) ** 2
                 rows[d] = Bucket(
                     count,
                     sum(k * n for k, n in row.items()) * scale / (count * den),
@@ -448,11 +447,10 @@ def interval_summary(profile: DistanceProfile) -> IntervalSummary:
                 ok = mean > 0.5
             elif expectation == "below_half":
                 ok = 0.0 < mean < 0.5
-            else:  # "zero", with the rho spike exemption
-                if d == uniform_rho:
-                    ok = abs(mean - 1.0) <= 1e-9
-                else:
-                    ok = mean <= 1e-9
+            elif d == uniform_rho:  # "zero", with the rho spike exemption
+                ok = abs(mean - 1.0) <= 1e-9
+            else:  # "zero"
+                ok = mean <= 1e-9
             if not ok:
                 bad.append(d)
         return RegionVerdict(low, high, expectation, not bad, tuple(bad))

@@ -56,22 +56,7 @@ from basisket.reference import (
     TABLE_5_GENERIC_RECIPES,
     cell_tolerance,
 )
-
-
-def all_recipes(max_bits=6):
-    """Every classifier factor list over {H, C2} with total rank <= max_bits."""
-    out = []
-
-    def extend(prefix, bits):
-        if prefix:
-            out.append(tuple(prefix))
-        if bits + 1 <= max_bits:
-            extend(prefix + ["H"], bits + 1)
-        if bits + 2 <= max_bits:
-            extend(prefix + ["C2"], bits + 2)
-
-    extend([], 0)
-    return out
+from conftest import all_recipes
 
 
 ALL_RECIPES = all_recipes()  # 32 recipes

@@ -1,4 +1,7 @@
 import json
+import os
+import stat
+import threading
 
 import pytest
 
@@ -395,9 +398,47 @@ class TestGame:
         target = tmp_path / "missing" / "rounds.jsonl"
         code, out, err = run(capsys, "game", "--recipe", "C2,C2",
                              "--trials", "5", "--rounds-out", str(target))
+        assert code == 1 and out == ""
+        # the error names the file given, not the partial file beside it
+        assert err == f"error: [Errno 2] No such file or directory: " \
+                      f"'{target}'\n"
+
+    def test_rounds_out_writes_through_a_symlink(self, capsys, tmp_path):
+        real, link = tmp_path / "real.jsonl", tmp_path / "link.jsonl"
+        direct = tmp_path / "direct.jsonl"
+        real.write_bytes(b"sentinel")
+        link.symlink_to(real)
+        argv = ("game", "--recipe", "C2,C2", "--trials", "5", "--seed", "1")
+        assert run(capsys, *argv, "--rounds-out", str(direct))[0] == 0
+        assert run(capsys, *argv, "--rounds-out", str(link))[0] == 0
+        assert link.is_symlink() and link.resolve() == real
+        assert real.read_bytes() == direct.read_bytes()
+        assert sorted(tmp_path.iterdir()) == [direct, link, real]
+        # a failed game leaves the link and the file it names as they were
+        real.write_bytes(b"sentinel")
+        code, _, _ = run(capsys, "game", "--recipe", "C2,C2", "--bob",
+                         "at_distance", "--distance", "12", "--trials", "5",
+                         "--rounds-out", str(link))
         assert code == 1
-        assert err.startswith("error: ") and str(target) in err
-        assert out == ""
+        assert link.is_symlink() and real.read_bytes() == b"sentinel"
+        assert sorted(tmp_path.iterdir()) == [direct, link, real]
+
+    def test_rounds_out_streams_into_a_fifo(self, capsys, tmp_path):
+        # a pipe is written in place, as each group is played
+        fifo, direct = tmp_path / "rounds.fifo", tmp_path / "direct.jsonl"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        argv = ("game", "--recipe", "C2,C2", "--trials", "5", "--seed", "1")
+        code, _, _ = run(capsys, *argv, "--rounds-out", str(fifo))
+        reader.join(timeout=30)  # still blocked if the fifo was not opened
+        assert code == 0 and not reader.is_alive()
+        assert run(capsys, *argv, "--rounds-out", str(direct))[0] == 0
+        assert received == [direct.read_bytes()]
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert sorted(tmp_path.iterdir()) == [direct, fifo]
 
     def test_same_seed_gives_the_same_bytes(self, capsys, tmp_path):
         def game(seed, name):

@@ -1,7 +1,6 @@
 import json
 import math
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 import pytest
@@ -31,6 +30,7 @@ from basisket.experiment import (
     regions,
 )
 from basisket.report import profile_to_json
+from conftest import all_recipes
 
 # frozen exhaustive aggregates for the pure rank-4 recipe:
 # distance -> (function count, exact mean threshold)
@@ -136,11 +136,8 @@ class TestExhaustiveProfile:
             assert rows[d].max_theta == max(ts)
 
 
-#: every recipe short enough to enumerate, L <= 16 (H takes 1 bit, C2 2)
-EXHAUSTIVE_RECIPES = [
-    ",".join(recipe) for n in range(1, 5)
-    for recipe in product(("H", "C2"), repeat=n)
-    if sum({"H": 1, "C2": 2}[f] for f in recipe) <= 4]
+#: every recipe short enough to enumerate, L <= 16
+EXHAUSTIVE_RECIPES = [",".join(recipe) for recipe in all_recipes(4)]
 
 
 @pytest.fixture(scope="module")

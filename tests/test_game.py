@@ -1,4 +1,3 @@
-from itertools import product
 from math import sqrt
 from statistics import NormalDist
 
@@ -28,12 +27,11 @@ from basisket.game import (
     _records,
 )
 from basisket.game import wilson_interval as wilson_95
+from conftest import all_recipes
 
 RANK4 = ("C2", "C2")  # rho = 10, pivot distance 2
 #: every recipe of rank 1 to 6, 32 of them
-ALL_RECIPES = [recipe for k in range(1, 7)
-               for recipe in product(("H", "C2"), repeat=k)
-               if sum(FACTOR_BITS[f] for f in recipe) <= 6]
+ALL_RECIPES = all_recipes(6)
 Z95 = NormalDist().inv_cdf(0.975)
 
 

@@ -188,27 +188,10 @@ def cmd_game(args) -> int:
         bob=args.bob, alice=args.alice,
         trials=args.trials, seed=args.seed,
         bob_distance=args.distance)
-    if not args.rounds_out:
-        result = estimate_win_rate(config)
-    elif os.path.exists(args.rounds_out) and \
-            not os.path.isfile(args.rounds_out):
-        # a pipe or a device (/dev/stdout, /dev/fd/N): stream into it
+    result = estimate_win_rate(config)  # a failed game leaves the log alone
+    if args.rounds_out:  # replays the game's blocks from their seeds
         with open(args.rounds_out, "w", encoding="utf-8") as fh:
-            result = write_rounds(config, fh)
-    else:
-        # a game can fail while it plays (a Bob distance no pick reaches):
-        # write beside the file, through any symlink, and rename on success
-        target = os.path.realpath(args.rounds_out)
-        partial = f"{target}.{os.getpid()}.partial"
-        try:
-            with open(partial, "w", encoding="utf-8") as fh:
-                result = write_rounds(config, fh)
-            os.replace(partial, target)
-        except OSError as exc:  # name the file given, not the partial file
-            raise OSError(exc.errno, exc.strerror, args.rounds_out) from None
-        finally:
-            if os.path.exists(partial):  # the game failed
-                os.remove(partial)
+            write_rounds(config, fh)
     print(json.dumps({
         "recipe": args.recipe, "bob": args.bob, "alice": args.alice,
         "distance": args.distance, "trials": args.trials, "seed": args.seed,

@@ -14,7 +14,7 @@ game approaches a fair coin toss.
 
 Rounds are drawn in blocks of up to ROUND_BLOCK, the unit of seed
 splitting: block b of a game draws only from
-``SeedSequence(seed).spawn(n_blocks)[b]``, so it replays, here or on
+``SeedSequence(seed, spawn_key=(b,))``, so it replays, here or on
 another machine, from (seed, b).  Bob picks every function of a block
 at once (see _pick), then one uniform per round is drawn for its
 measurement.  The drawn blocks are classified a group of up to
@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -278,10 +278,10 @@ def _blocks(config: GameConfig) -> Iterator[_Block]:
     drawn from its own generator, classified a group of up to BLOCK
     rounds at a time."""
     n_blocks = -(-config.trials // ROUND_BLOCK)
-    seeds = np.random.SeedSequence(config.seed).spawn(n_blocks)
     per_group = BLOCK // ROUND_BLOCK
     for first in range(0, n_blocks, per_group):
-        draws = [_draw(config, np.random.default_rng(seeds[b]),
+        draws = [_draw(config, np.random.default_rng(np.random.SeedSequence(
+                           config.seed, spawn_key=(b,))),
                        min(ROUND_BLOCK, config.trials - b * ROUND_BLOCK))
                  for b in range(first, min(first + per_group, n_blocks))]
         yield _classify(config, *map(np.concatenate, zip(*draws)))
@@ -328,36 +328,17 @@ def wilson_interval(rate: float, trials: int) -> tuple[float, float]:
 
 
 def estimate_win_rate(config: GameConfig) -> WinRate:
-    """Alice's win rate over all rounds of the config."""
-    return _tally(config.trials, _blocks(config))
-
-
-def write_rounds(config: GameConfig, fh: TextIO) -> WinRate:
-    """estimate_win_rate(config), writing each group's rounds to `fh` as
-    they are played: one JSON line per RoundRecord, without theta."""
-    length = ClassifierSpec(config.recipe).dim
-
-    def logged() -> Iterator[_Block]:
-        for group in _blocks(config):
-            for record in _records(group, length):
-                row = {**vars(record), "function": str(record.function)}
-                del row["theta"]  # summarised as exact_rate
-                fh.write(json.dumps(row) + "\n")
-            yield group
-
-    return _tally(config.trials, logged())
-
-
-def _tally(trials: int, blocks: Iterable[_Block]) -> WinRate:
-    """Alice's win rate over the groups' rounds, with binomial standard
-    error, 95% Wilson interval and the mean of her exact win chances.
+    """Alice's win rate over all rounds of the config, with binomial
+    standard error, 95% Wilson interval and the mean of her exact win
+    chances.
 
     Each win chance is a multiple of 1/L**2 in [0, 1] with L**2 <= 2**12,
     so below 2**40 rounds every float sum is exact in any order, round
     by round (as over a written log) or group by group."""
+    trials = config.trials
     wins = 0
     chances = 0.0
-    for block in blocks:
+    for block in _blocks(config):
         wins += int(np.count_nonzero(block.alice_yes == block.in_nearest))
         chances += float(np.where(block.alice_yes, block.theta,
                                   1.0 - block.theta).sum())
@@ -365,3 +346,15 @@ def _tally(trials: int, blocks: Iterable[_Block]) -> WinRate:
     se = float(np.sqrt(rate * (1.0 - rate) / trials))
     return WinRate(rate, se, trials, wins, chances / trials,
                    wilson_interval(rate, trials))
+
+
+def write_rounds(config: GameConfig, fh: TextIO) -> None:
+    """Every round of the config, replayed from its block seeds, to `fh`:
+    one JSON line per RoundRecord, without theta (summarised as
+    exact_rate), the same rounds estimate_win_rate(config) tallies."""
+    length = ClassifierSpec(config.recipe).dim
+    for group in _blocks(config):
+        for record in _records(group, length):
+            row = {**vars(record), "function": str(record.function)}
+            del row["theta"]
+            fh.write(json.dumps(row) + "\n")

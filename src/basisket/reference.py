@@ -7,6 +7,9 @@ uniform zero count rho of each pure-C2 class, where the all-ones probe
 must spike to threshold 1.  `check_table` turns a table into its cells
 (recipe, d, expected, actual, tolerance) and returns those not strictly
 within tolerance: +/- 0.005 for two-decimal cells, 1e-9 for exact claims.
+A table 3/5 distance that no function reaches reads 0.0: the 50 published
+0.0 cells beyond each recipe's covering radius (4 at length 8, 8 for the
+mixed length-16 recipes, 10 for C2,C2) check an empty distance.
 A table 7 region becomes its midpoint and half-width, so its bounds stay
 open: a mean exactly on a bound fails, and so does an empty bucket (NaN).
 """

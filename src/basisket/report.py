@@ -166,6 +166,8 @@ def profile_from_json(text: str) -> DistanceProfile:
         if type(d) is not int or d not in profile.quotas:
             raise ValueError(f"short_buckets: {d!r} is not a distance "
                              f"with a quota")
+        if short.count(d) > 1:
+            raise ValueError(f"short_buckets: distance {d} appears twice")
     profile.short_buckets = tuple(short)
     seen = set()
     for i, row in enumerate(_field(doc, "rows", list, "profile")):

@@ -351,7 +351,7 @@ class TestGame:
                                                    recipe, distance, trials):
         # no function of C2,C2 is 12 from the class, and flips do not
         # reach the nonempty d = 29 shell of C2,C2,C2: the game fails
-        # while it plays, after its rounds file would have been opened
+        # while it plays, before its rounds file is opened
         target = tmp_path / "rounds.jsonl"
         target.write_bytes(b"sentinel")
         code, out, err = run(capsys, "game", "--recipe", recipe,
@@ -361,7 +361,7 @@ class TestGame:
         assert code == 1 and out == ""
         assert err.startswith(f"error: no function at distance {distance} ")
         assert target.read_bytes() == b"sentinel"
-        assert list(tmp_path.iterdir()) == [target]  # no partial file left
+        assert list(tmp_path.iterdir()) == [target]  # nothing beside it
 
     @pytest.mark.parametrize("trials", [1, ROUND_BLOCK - 1, ROUND_BLOCK,
                                         ROUND_BLOCK + 1, 1500])
@@ -399,9 +399,19 @@ class TestGame:
         code, out, err = run(capsys, "game", "--recipe", "C2,C2",
                              "--trials", "5", "--rounds-out", str(target))
         assert code == 1 and out == ""
-        # the error names the file given, not the partial file beside it
+        # the error names the file given
         assert err == f"error: [Errno 2] No such file or directory: " \
                       f"'{target}'\n"
+
+    def test_rounds_out_keeps_the_file_mode(self, capsys, tmp_path):
+        # an existing log is rewritten in place, not replaced by a new file
+        target = tmp_path / "rounds.jsonl"
+        target.write_bytes(b"sentinel")
+        target.chmod(0o600)
+        code, _, _ = run(capsys, "game", "--recipe", "C2,C2", "--trials", "5",
+                         "--seed", "1", "--rounds-out", str(target))
+        assert code == 0 and len(target.read_text().splitlines()) == 5
+        assert stat.S_IMODE(target.stat().st_mode) == 0o600
 
     def test_rounds_out_writes_through_a_symlink(self, capsys, tmp_path):
         real, link = tmp_path / "real.jsonl", tmp_path / "link.jsonl"
@@ -424,7 +434,7 @@ class TestGame:
         assert sorted(tmp_path.iterdir()) == [direct, link, real]
 
     def test_rounds_out_streams_into_a_fifo(self, capsys, tmp_path):
-        # a pipe is written in place, as each group is played
+        # a pipe is written in place, once the game has been played
         fifo, direct = tmp_path / "rounds.fifo", tmp_path / "direct.jsonl"
         os.mkfifo(fifo)
         received = []

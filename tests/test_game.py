@@ -383,6 +383,19 @@ class TestBlockEngine:
         assert result.trials == config.trials
         assert peak <= 4 << 20
 
+    def test_game_heap_does_not_grow_with_its_length(self, heap_peak):
+        # block b seeds itself from (seed, b) when it is drawn, so a game
+        # holds no seed per block: 50 times the rounds, the same peak
+        # (it rose 0.87 -> 2.17 MiB when every block seed was spawned
+        # up front)
+        def peak(trials):
+            config = GameConfig(RANK4, "uniform_random", "interval_threshold",
+                                trials=trials, seed=1)
+            return heap_peak(lambda: estimate_win_rate(config))[0]
+
+        peak(1)
+        assert peak(2_000_000) <= peak(40_000) + (1 << 18)
+
     def test_pivot_win_rate_at_length_64(self):
         # at d = 8 of length 64 the nearest member is unique, so every
         # round has theta = (48/64)**2 and Alice says yes

@@ -15,6 +15,8 @@ from basisket import (
     rho_recurrence,
     validate_basis,
 )
+from basisket.classifier import FACTOR_TO_BASIS
+from conftest import all_recipes
 
 PV = PatternVector.parse
 
@@ -193,7 +195,8 @@ class TestBasisProduct:
 
     def test_all_recipes_up_to_cap_are_valid_bases(self):
         for recipe in all_recipes(6):
-            basis = build_basis_from_recipe(recipe)
+            basis = build_basis_from_recipe(
+                [FACTOR_TO_BASIS[f] for f in recipe])
             assert validate_basis(basis.members) is None
             # orthogonality restated metrically: pairwise distance 2**(rank-1)
             half = basis.length // 2
@@ -201,22 +204,6 @@ class TestBasisProduct:
             for i in range(len(members)):
                 for j in range(i + 1, len(members)):
                     assert hamming_distance(members[i], members[j]) == half
-
-
-def all_recipes(max_rank):
-    """Every factor list over {B1, Q2} with total rank <= max_rank."""
-    out = []
-
-    def extend(prefix, rank):
-        if prefix:
-            out.append(tuple(prefix))
-        if rank + 1 <= max_rank:
-            extend(prefix + ["B1"], rank + 1)
-        if rank + 2 <= max_rank:
-            extend(prefix + ["Q2"], rank + 2)
-
-    extend([], 0)
-    return out
 
 
 class TestBuildBasisFromRecipe:

@@ -2,8 +2,17 @@
 
 import math
 
+import numpy as np
+import pytest
+
 from basisket import exhaustive_profile, reference
+from basisket.classifier import ClassifierSpec, member_array, member_distances
 from basisket.experiment import DistanceProfile
+
+#: each table 3/5 recipe with its published column
+EXHAUSTIVE_COLUMNS = [(recipe, column)
+                      for pairs in reference.EXHAUSTIVE_TABLES.values()
+                      for recipes, column in pairs for recipe in recipes]
 
 
 def test_exhaustive_tables_enumerate_each_recipe_once(monkeypatch):
@@ -46,3 +55,19 @@ def test_table_8_rho_follows_the_class_length_not_its_position(monkeypatch):
     assert [(d.distance, d.expected, d.actual)
             for d in reference.check_table(8)] == [
         (0, 11, 10), (0, 11, 10), (11, 11, 10)]
+
+
+@pytest.mark.parametrize("recipe,column", EXHAUSTIVE_COLUMNS,
+                         ids=[",".join(r) for r, _ in EXHAUSTIVE_COLUMNS])
+def test_published_zeros_beyond_the_covering_radius_are_empty(recipe, column):
+    # the covering radius by word popcount over every function, not by
+    # the half-word tables of exhaustive_profile: the published cells
+    # beyond it are all 0.0 and check an empty distance, and every cell
+    # up to it has functions
+    spec = ClassifierSpec(recipe)
+    radius = int(member_distances(member_array(spec),
+                                  np.arange(1 << spec.dim))[1].max())
+    rows = exhaustive_profile(recipe).rows()
+    assert radius == max(rows)
+    assert all(column[d] == 0.0 for d in column if d > radius)
+    assert all(d in rows for d in column if d <= radius)

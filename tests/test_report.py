@@ -168,6 +168,14 @@ class TestJson:
         with pytest.raises(ValueError, match=match):
             profile_from_json(json.dumps(doc))
 
+    def test_repeated_short_bucket_rejected(self, sampled):
+        # it loaded as (1, 1) and was written back twice
+        doc = json.loads(profile_to_json(sampled))
+        doc["short_buckets"] = [1, 2, 1]
+        with pytest.raises(ValueError,
+                           match="short_buckets: distance 1 appears twice"):
+            profile_from_json(json.dumps(doc))
+
     # each escaped at the parent of this check as another exception than
     # ValueError, or (a float length) loaded
     def test_list_recipe_rejected(self, profile):

@@ -78,6 +78,15 @@ AT_DISTANCE_ROUNDS_OUT_SHA256 = {
     ("C2,C2,C2", 8, 100):
         "c024ed6c382cccb3cd4ec6a6b378e135b2bd89f9adb9db5f39ebd8f262bcdeb5",
 }
+#: recorded on b288e50: the per-round log of games whose Alice answers
+#: the same every round, at L = 4 and L = 8, so a constant verdict
+#: column and a short function bit string are written
+FIXED_ALICE_ROUNDS_OUT_SHA256 = {
+    ("C2", "at_distance", 1, "always_no"):
+        "941b161e39315a2cde13bbd80559bcd25d76d50d99f32fa0feb7896d5d31267b",
+    ("H,C2", "uniform_random", None, "always_yes"):
+        "0b68a18133ccda155e8c616f110e0082d2380d29ac3515327530a02a3062b07e",
+}
 #: recorded on 797e3e5: the per-round log of a game of BLOCK + 600
 #: rounds (17 blocks of ROUND_BLOCK and one of 88), so it spans more
 #: than one group of blocks classified together
@@ -183,6 +192,20 @@ def test_at_distance_rounds_out_bytes(capsys, tmp_path, recipe, distance,
     assert code == 0
     assert sha256(target.read_bytes()) == \
         AT_DISTANCE_ROUNDS_OUT_SHA256[recipe, distance, trials]
+
+
+@pytest.mark.parametrize("recipe,bob,distance,alice",
+                         sorted(FIXED_ALICE_ROUNDS_OUT_SHA256, key=str))
+def test_fixed_alice_rounds_out_bytes(capsys, tmp_path, recipe, bob,
+                                      distance, alice):
+    target = tmp_path / "rounds.jsonl"
+    bob_args = [] if distance is None else ["--distance", str(distance)]
+    code = cli_dispatch(["game", "--recipe", recipe, "--bob", bob, *bob_args,
+                         "--alice", alice, "--seed", "6", "--trials", "1500",
+                         "--rounds-out", str(target)])
+    assert code == 0
+    assert sha256(target.read_bytes()) == \
+        FIXED_ALICE_ROUNDS_OUT_SHA256[recipe, bob, distance, alice]
 
 
 def test_multi_group_rounds_out_bytes(capsys, tmp_path):

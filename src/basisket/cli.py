@@ -9,6 +9,9 @@ Subcommands:
     tables     recompute the published reference tables and diff
     game       Monte Carlo simulation of the guessing game
 
+With --format json and no --out, stdout is the JSON document alone: the
+summary, probe, region and histogram lines that follow it go to stderr.
+
 Exit codes: 0 success, 1 usage or file error, 2 table diff failure.
 The default seed comes from the BASISKET_SEED environment variable when
 set, else 0.
@@ -89,6 +92,12 @@ def _write_or_print(text: str, out: str | None) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _notes(args):
+    """Where a command's lines other than its document go: stderr when
+    the document is JSON on stdout, so that stdout parses; else stdout."""
+    return sys.stderr if args.format == "json" and not args.out else sys.stdout
+
+
 def _emit_profile(profile, args, runtime_seconds: float) -> None:
     body = (profile_to_json(profile, runtime_seconds)
             if args.format == "json" else profile_to_csv(profile))
@@ -102,9 +111,9 @@ def _emit_profile(profile, args, runtime_seconds: float) -> None:
     if args.hist == "svg":
         target = (args.out or "profile") + ".svg"
         Path(target).write_text(svg_histogram(profile), encoding="utf-8")
-        print(f"histogram written to {target}")
+        print(f"histogram written to {target}", file=_notes(args))
     elif args.hist:
-        sys.stdout.write(ascii_histogram(profile))
+        _notes(args).write(ascii_histogram(profile))
 
 
 def cmd_bases(args) -> int:
@@ -133,7 +142,7 @@ def cmd_classify(args) -> int:
     print(f"distance {report.nearest.distance}  "
           f"nearest_kets {sorted(report.nearest.indices)}  "
           f"theta {report.theta:.6f}  most_likely_outcome {top} "
-          f"({format(top, f'0{spec.total_bits}b')})")
+          f"({format(top, f'0{spec.total_bits}b')})", file=_notes(args))
     return 0
 
 
@@ -153,21 +162,23 @@ def cmd_sample(args) -> int:
             spec.factors, quotas, args.seed,
             attempt_factor=args.attempt_factor)
     _emit_profile(profile, args, timer.elapsed)
+    notes = _notes(args)
     if profile.short_buckets:
-        print(f"# short buckets (quota unmet): {list(profile.short_buckets)}")
-    print("# probes:")
+        print(f"# short buckets (quota unmet): {list(profile.short_buckets)}",
+              file=notes)
+    print("# probes:", file=notes)
     for name, report in probe_suite(spec.factors):
         print(f"#   {name}: distance {report.nearest.distance} "
-              f"theta {report.theta:.6f}")
+              f"theta {report.theta:.6f}", file=notes)
     summary = interval_summary(profile)
     for region in summary.regions:
         status = "consistent" if region.consistent else \
             f"violated at {list(region.offending)}"
         print(f"# region [{region.low}, {region.high}] "
-              f"({region.expectation}): {status}")
+              f"({region.expectation}): {status}", file=notes)
     if summary.monotonicity_violations:
         print(f"# note: non-monotone buckets at "
-              f"{list(summary.monotonicity_violations)}")
+              f"{list(summary.monotonicity_violations)}", file=notes)
     return 0
 
 

@@ -24,7 +24,8 @@ uniform picks the measured ket by inverse CDF over the integer outcome
 weights (L - 2d)**2, the probabilities of
 ``classifier.ket_probabilities`` times L**2, squared in place and
 summed down the members (see _outcome_cdf).  Alice's rho is
-``ClassifierSpec.rho()``, computed once per class.
+``ClassifierSpec.rho()``, computed once per class.  A round is one entry
+of each column of its group; write_rounds formats its log line from them.
 
 Given h, Alice wins with probability exactly theta(h) if she says yes
 and 1 - theta(h) if not.  The mean of that over the rounds is the
@@ -34,7 +35,6 @@ Monte Carlo rate; it has the same expectation and no measurement noise.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, TextIO
@@ -287,20 +287,15 @@ def _blocks(config: GameConfig) -> Iterator[_Block]:
         yield _classify(config, *map(np.concatenate, zip(*draws)))
 
 
-def _records(block: _Block, length: int) -> Iterator[RoundRecord]:
-    columns = (block.values, block.distance, block.outcome, block.in_nearest,
-               block.alice_yes, block.theta)
-    for value, d, outcome, in_nearest, yes, theta in zip(
-            *(column.tolist() for column in columns)):
-        yield RoundRecord(d, outcome, in_nearest, yes, yes == in_nearest,
-                          PatternVector(value, length), theta)
-
-
 def play_round(config: GameConfig, round_seed) -> RoundRecord:
-    """One full round; bit-for-bit reproducible from its seed."""
+    """One full round, read off its one-round block as Python scalars;
+    bit-for-bit reproducible from its seed."""
     block = _classify(config,
                       *_draw(config, np.random.default_rng(round_seed), 1))
-    return next(_records(block, ClassifierSpec(config.recipe).dim))
+    yes, near = block.alice_yes.item(), block.in_nearest.item()
+    h = PatternVector(block.values.item(), ClassifierSpec(config.recipe).dim)
+    return RoundRecord(block.distance.item(), block.outcome.item(), near, yes,
+                       yes == near, h, block.theta.item())
 
 
 @dataclass(frozen=True)
@@ -350,11 +345,15 @@ def estimate_win_rate(config: GameConfig) -> WinRate:
 
 def write_rounds(config: GameConfig, fh: TextIO) -> None:
     """Every round of the config, replayed from its block seeds, to `fh`:
-    one JSON line per RoundRecord, without theta (summarised as
-    exact_rate), the same rounds estimate_win_rate(config) tallies."""
-    length = ClassifierSpec(config.recipe).dim
-    for group in _blocks(config):
-        for record in _records(group, length):
-            row = {**vars(record), "function": str(record.function)}
-            del row["theta"]
-            fh.write(json.dumps(row) + "\n")
+    the same rounds estimate_win_rate(config) tallies, one JSON line each
+    with the RoundRecord fields but theta (summarised as exact_rate),
+    formatted from the group's columns, one write per group."""
+    bits = f"0{ClassifierSpec(config.recipe).dim}b"
+    text = ("false", "true")
+    for g in _blocks(config):
+        fh.writelines(
+            f'{{"distance": {d}, "outcome": {k}, "in_nearest": {text[near]}, '
+            f'"alice_yes": {text[yes]}, "alice_wins": {text[yes == near]}, '
+            f'"function": "{h:{bits}}"}}\n'
+            for h, d, k, near, yes in zip(*(column.tolist() for column in (
+                g.values, g.distance, g.outcome, g.in_nearest, g.alice_yes))))

@@ -478,6 +478,31 @@ class TestGame:
         assert game(9) != out
 
 
+class TestJsonOnStdout:
+    """With --format json and no --out, stdout is the JSON document
+    alone; the command's other lines go to stderr."""
+
+    @pytest.mark.parametrize("argv,moved", [
+        (("classify", "--recipe", "H,C2", "--function", "00000001"),
+         ("distance 1  nearest_kets [0]  theta 0.562500",)),
+        (("enumerate", "--recipe", "H,C2", "--hist", "ascii"),
+         ("recipe H,C2  mode exhaustive", "d=  1  count         64 |")),
+        (("sample", "--recipe", "C2,C2,H", "--quota", "1=5"),
+         ("# probes:", "#   all_zeros: distance 12", "# region [1, 4]")),
+        (("enumerate", "--recipe", "H,C2", "--hist", "svg"),
+         ("histogram written to profile.svg",)),
+    ], ids=["classify", "enumerate_ascii", "sample", "enumerate_svg"])
+    def test_stdout_is_one_json_document(self, capsys, tmp_path, monkeypatch,
+                                         argv, moved):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        json.loads(out)
+        for line in moved:
+            assert line in err
+            assert line not in out
+
+
 class TestTopLevel:
     def test_version(self, capsys):
         assert run(capsys, "--version")[0] == 0

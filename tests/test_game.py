@@ -1,3 +1,6 @@
+import io
+import json
+from dataclasses import fields
 from math import sqrt
 from statistics import NormalDist
 
@@ -7,6 +10,7 @@ import pytest
 from basisket import (
     ClassifierSpec,
     GameConfig,
+    PatternVector,
     alice_interval_decide,
     bob_pick,
     class_rho,
@@ -19,12 +23,13 @@ from basisket.experiment import BLOCK, _sample_attempts, regions
 from basisket.game import (
     PICK_ATTEMPT_CAP,
     ROUND_BLOCK,
+    _Block,
     _blocks,
     _classify,
     _draw,
     _outcome_cdf,
     _pick,
-    _records,
+    write_rounds,
 )
 from basisket.game import wilson_interval as wilson_95
 from conftest import all_recipes
@@ -33,6 +38,27 @@ RANK4 = ("C2", "C2")  # rho = 10, pivot distance 2
 #: every recipe of rank 1 to 6, 32 of them
 ALL_RECIPES = all_recipes(6)
 Z95 = NormalDist().inv_cdf(0.975)
+#: a game block's per-round columns, in field order
+COLUMNS = [column.name for column in fields(_Block)]
+
+
+def joined_columns(groups):
+    """Each block column over all the groups, one entry per round."""
+    return {column: np.concatenate([getattr(group, column)
+                                    for group in groups])
+            for column in COLUMNS}
+
+
+def assert_block_replays(config, rounds, b):
+    """Block b, drawn on its own from (seed, b), equals its rounds in
+    `rounds`, column by column."""
+    seed = np.random.SeedSequence(config.seed, spawn_key=(b,))
+    size = min(ROUND_BLOCK, config.trials - b * ROUND_BLOCK)
+    block = _classify(config, *_draw(config, np.random.default_rng(seed),
+                                     size))
+    for column in COLUMNS:
+        assert np.array_equal(getattr(block, column),
+                              rounds[column][b * ROUND_BLOCK:][:size])
 
 
 def wilson_interval(rate, n, z):
@@ -322,35 +348,39 @@ class TestBlockEngine:
         config = GameConfig(recipe, bob, "interval_threshold", trials=600,
                             seed=21, bob_distance=distance)
         length = spec.dim
-        records = (record for block in _blocks(config)
-                   for record in _records(block, length))
-        for record in records:
-            nearest = distance_from_class(basis, record.function)
-            assert record.distance == nearest.distance >= 1
-            assert record.in_nearest == (record.outcome in nearest.indices)
-            assert record.theta == (len(nearest.indices)
-                                    * ((length - 2 * nearest.distance)
-                                       / length) ** 2)
-            assert record.alice_yes is alice_interval_decide(
-                nearest.distance, spec.total_bits, rho)
-            assert record.alice_wins == (record.alice_yes == record.in_nearest)
-            if distance is not None:
-                assert record.distance == distance
-            if bob == "pivot":
-                assert record.distance == spec.dim // 8
+        log = io.StringIO()
+        write_rounds(config, log)
+        lines = iter(log.getvalue().splitlines())
+        for block in _blocks(config):
+            for value, d, outcome, in_nearest, yes, theta in zip(
+                    *(getattr(block, column).tolist() for column in COLUMNS)):
+                h = PatternVector(value, length)
+                nearest = distance_from_class(basis, h)
+                assert d == nearest.distance >= 1
+                assert in_nearest == (outcome in nearest.indices)
+                assert theta == (len(nearest.indices)
+                                 * ((length - 2 * nearest.distance)
+                                    / length) ** 2)
+                assert yes is alice_interval_decide(
+                    nearest.distance, spec.total_bits, rho)
+                line = json.loads(next(lines))
+                assert line["alice_wins"] == (yes == in_nearest)
+                assert line == {"distance": d, "outcome": outcome,
+                                "in_nearest": in_nearest, "alice_yes": yes,
+                                "alice_wins": yes == in_nearest,
+                                "function": str(h)}
+                if distance is not None:
+                    assert d == distance
+                if bob == "pivot":
+                    assert d == spec.dim // 8
+        assert next(lines, None) is None
 
     def test_block_replays_from_seed_and_index(self):
         config = GameConfig(RANK4, "pivot", "interval_threshold",
                             trials=1500, seed=13)
-        records = [record for block in _blocks(config)
-                   for record in _records(block, 16)]
+        rounds = joined_columns(list(_blocks(config)))
         for b in range(3):
-            seed = np.random.SeedSequence(config.seed, spawn_key=(b,))
-            size = min(ROUND_BLOCK, config.trials - b * ROUND_BLOCK)
-            block = _classify(config, *_draw(
-                config, np.random.default_rng(seed), size))
-            replayed = list(_records(block, 16))
-            assert replayed == records[b * ROUND_BLOCK:][:size]
+            assert_block_replays(config, rounds, b)
         # a game of more than BLOCK rounds is classified a group of
         # blocks at a time; blocks on both sides of the group boundary
         # still replay on their own
@@ -358,16 +388,10 @@ class TestBlockEngine:
                             trials=BLOCK + 600, seed=13)
         groups = list(_blocks(config))
         assert [len(group.values) for group in groups] == [BLOCK, 600]
-        records = [record for group in groups
-                   for record in _records(group, 16)]
+        rounds = joined_columns(groups)
         first = BLOCK // ROUND_BLOCK  # the first block of the second group
         for b in (first - 1, first, first + 1):
-            seed = np.random.SeedSequence(config.seed, spawn_key=(b,))
-            size = min(ROUND_BLOCK, config.trials - b * ROUND_BLOCK)
-            block = _classify(config, *_draw(
-                config, np.random.default_rng(seed), size))
-            replayed = list(_records(block, 16))
-            assert replayed == records[b * ROUND_BLOCK:][:size]
+            assert_block_replays(config, rounds, b)
 
     def test_game_working_set_is_one_group(self, heap_peak):
         # 40,000 L = 64 rounds classified BLOCK at a time: the group's

@@ -15,11 +15,14 @@ best of the runs (the minimum of a lower-is-better metric, the maximum of
 a higher-is-better one), the median and quartiles before and after, how
 many seeds the working tree won, whether a gain holds (it won at least
 9 of 10 pairs and its median is better by more than the base's quartile
-spread) and whether the median ratio is within the metric's bound in
-BENCHMARK.json; next to them each run's
-attempted/failed check counts, the traced run's attempted/failed counts
-and failures, both commit SHAs, and the run environment (CPU, nproc,
-Python and numpy versions) that perfbench/run.py wrote on each side.
+spread), whether the median ratio is within the metric's bound in
+BENCHMARK.json, the base's quartile spread over its median (`spread`)
+and whether the metric is `unresolved` (that spread exceeds the bound
+and not every working-tree run beats every base run); next to them each
+run's attempted/failed check counts, the traced run's attempted/failed
+counts and failures, both commit SHAs, and the run environment (CPU,
+nproc, Python and numpy versions) that perfbench/run.py wrote on each
+side.
 Exits 1 if any run, traced or not, failed a check.
 """
 
@@ -89,8 +92,12 @@ def compare(entry: dict, specs: list[dict]) -> dict:
     """Per metric: after/before of the bests and of the medians, the
     number of seeds on which the working tree beat the base, whether
     that is a gain (`gain_holds`: at least 9 pairs in 10 won, and the
-    median better by more than the base's quartile spread) and whether
-    the median ratio is within the metric's bound (`within_bound`)."""
+    median better by more than the base's quartile spread), whether the
+    median ratio is within the metric's bound (`within_bound`), the
+    base's quartile spread over its median (`spread`), and whether the
+    runs cannot tell the change from noise (`unresolved`: the spread
+    exceeds the bound and not every working-tree run beats every base
+    run), in which case `within_bound` says little either way."""
     out = {}
     for spec in specs:
         before, after = entry["before"][spec["name"]], entry["after"][spec["name"]]
@@ -100,6 +107,9 @@ def compare(entry: dict, specs: list[dict]) -> dict:
         pairs = len(after["runs"])
         q1, q3 = before["quartiles"]
         ratio = after["median"] / before["median"]
+        spread = (q3 - q1) / before["median"]
+        separated = all(sign * (b - a) > 0 for a in after["runs"]
+                        for b in before["runs"])
         out[spec["name"]] = {
             "best_ratio": after["best"] / before["best"],
             "median_ratio": ratio,
@@ -107,7 +117,9 @@ def compare(entry: dict, specs: list[dict]) -> dict:
             "pairs": pairs,
             "gain_holds": 10 * won >= 9 * pairs
             and sign * (before["median"] - after["median"]) > q3 - q1,
-            "within_bound": sign * (ratio - 1) <= spec["bound"]}
+            "within_bound": sign * (ratio - 1) <= spec["bound"],
+            "spread": spread,
+            "unresolved": spread > spec["bound"] and not separated}
     return out
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 import threading
 
@@ -233,6 +234,46 @@ class TestSample:
         svg = (tmp_path / "prof.csv.svg").read_text()
         assert svg.startswith("<svg")
         assert "histogram written" in out
+
+
+class TestManifest:
+    """The manifest beside an --out file, byte for byte but for its
+    runtime: key order, sorted string quota keys, tool version, seed."""
+
+    @staticmethod
+    def manifest_text(capsys, tmp_path, monkeypatch, *argv):
+        monkeypatch.chdir(tmp_path)
+        out = argv[argv.index("--out") + 1]
+        assert run(capsys, *argv)[0] == 0
+        text = (tmp_path / f"{out}.manifest.json").read_text()
+        runtime = json.loads(text)["runtime_seconds"]
+        assert type(runtime) is float and runtime > 0
+        return re.sub(r'"runtime_seconds": [-+.0-9eE]+',
+                      '"runtime_seconds": 0', text)
+
+    def test_sample_manifest_bytes(self, capsys, tmp_path, monkeypatch):
+        text = self.manifest_text(
+            capsys, tmp_path, monkeypatch, "sample", "--recipe", "C2,C2,H",
+            "--seed", "5", "--quota", "2=20", "--quota", "1=20",
+            "--out", "s.csv")
+        assert text == (
+            '{\n  "subcommand": "sample",\n  "recipe": "C2,C2,H",\n'
+            '  "mode": "sampled",\n  "seed": 5,\n'
+            '  "quotas": {\n    "1": 20,\n    "2": 20\n  },\n'
+            '  "outputs": [\n    "s.csv"\n  ],\n'
+            f'  "tool_version": "{basisket.__version__}",\n'
+            '  "runtime_seconds": 0\n}')
+
+    def test_enumerate_manifest_bytes(self, capsys, tmp_path, monkeypatch):
+        text = self.manifest_text(
+            capsys, tmp_path, monkeypatch, "enumerate", "--recipe", "H,C2",
+            "--format", "json", "--out", "e.json")
+        assert text == (
+            '{\n  "subcommand": "enumerate",\n  "recipe": "H,C2",\n'
+            '  "mode": "exhaustive",\n  "seed": null,\n  "quotas": {},\n'
+            '  "outputs": [\n    "e.json"\n  ],\n'
+            f'  "tool_version": "{basisket.__version__}",\n'
+            '  "runtime_seconds": 0\n}')
 
 
 class TestTables:

@@ -9,8 +9,11 @@ Subcommands:
     tables     recompute the published reference tables and diff
     game       Monte Carlo simulation of the guessing game
 
-With --format json and no --out, stdout is the JSON document alone: the
-summary, probe, region and histogram lines that follow it go to stderr.
+classify, enumerate and sample write their CSV or JSON document to --out,
+else to stdout, which then holds the document alone: the summary, probe,
+region and histogram lines go to stderr.  With --out those lines go to
+stdout, and a profile gets a sibling .manifest.json listing every file
+the run wrote.
 
 Exit codes: 0 success, 1 usage or file error, 2 table diff failure.
 The default seed comes from the BASISKET_SEED environment variable when
@@ -24,6 +27,7 @@ import functools
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +46,6 @@ from .game import (ALICE_STRATEGIES, BOB_STRATEGIES, GameConfig,
 from .patterns import PatternVector, validate_basis
 from . import reference
 from .report import (
-    RunManifest,
-    Stopwatch,
     ascii_histogram,
     distribution_to_csv,
     distribution_to_json,
@@ -94,26 +96,34 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 def _notes(args):
     """Where a command's lines other than its document go: stderr when
-    the document is JSON on stdout, so that stdout parses; else stdout."""
-    return sys.stderr if args.format == "json" and not args.out else sys.stdout
+    the document is on stdout, so that stdout parses; else stdout."""
+    return sys.stdout if args.out else sys.stderr
 
 
 def _emit_profile(profile, args, runtime_seconds: float) -> None:
     body = (profile_to_json(profile, runtime_seconds)
             if args.format == "json" else profile_to_csv(profile))
     _write_or_print(body, args.out)
-    if args.out:
-        manifest = RunManifest(args.command, args.recipe, profile.mode,
-                               profile.seed, profile.quotas, [args.out],
-                               runtime_seconds)
-        Path(args.out + ".manifest.json").write_text(
-            json.dumps(manifest.to_dict(), indent=2), encoding="utf-8")
     if args.hist == "svg":
         target = (args.out or "profile") + ".svg"
         Path(target).write_text(svg_histogram(profile), encoding="utf-8")
         print(f"histogram written to {target}", file=_notes(args))
     elif args.hist:
         _notes(args).write(ascii_histogram(profile))
+    if args.out:
+        outputs = [args.out, target] if args.hist == "svg" else [args.out]
+        manifest = {
+            "subcommand": args.command,
+            "recipe": args.recipe,
+            "mode": profile.mode,
+            "seed": profile.seed,
+            "quotas": {str(k): v for k, v in sorted(profile.quotas.items())},
+            "outputs": outputs,
+            "tool_version": __version__,
+            "runtime_seconds": runtime_seconds,
+        }
+        Path(args.out + ".manifest.json").write_text(
+            json.dumps(manifest, indent=2), encoding="utf-8")
 
 
 def cmd_bases(args) -> int:
@@ -148,20 +158,20 @@ def cmd_classify(args) -> int:
 
 def cmd_enumerate(args) -> int:
     spec = ClassifierSpec.parse(args.recipe)
-    with Stopwatch() as timer:
-        profile = exhaustive_profile(spec.factors)
-    _emit_profile(profile, args, timer.elapsed)
+    start = time.perf_counter()
+    profile = exhaustive_profile(spec.factors)
+    _emit_profile(profile, args, time.perf_counter() - start)
     return 0
 
 
 def cmd_sample(args) -> int:
     spec = ClassifierSpec.parse(args.recipe)
     quotas = _parse_quotas(args.quota, spec.dim)
-    with Stopwatch() as timer:
-        profile = stratified_sample_profile(
-            spec.factors, quotas, args.seed,
-            attempt_factor=args.attempt_factor)
-    _emit_profile(profile, args, timer.elapsed)
+    start = time.perf_counter()
+    profile = stratified_sample_profile(
+        spec.factors, quotas, args.seed,
+        attempt_factor=args.attempt_factor)
+    _emit_profile(profile, args, time.perf_counter() - start)
     notes = _notes(args)
     if profile.short_buckets:
         print(f"# short buckets (quota unmet): {list(profile.short_buckets)}",

@@ -18,53 +18,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
 from .experiment import DistanceProfile
 
 PROFILE_CSV_HEADER = ["distance", "count", "mean_theta", "min_theta", "max_theta"]
 DISTRIBUTION_CSV_HEADER = ["index", "bitstring", "probability"]
 
 ASCII_BAR_WIDTH = 60
-
-
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce a run byte-for-byte."""
-
-    subcommand: str
-    recipe: str
-    mode: str
-    seed: int | None
-    quotas: dict[int, int] = field(default_factory=dict)
-    outputs: list[str] = field(default_factory=list)
-    runtime_seconds: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "recipe": self.recipe,
-            "mode": self.mode,
-            "seed": self.seed,
-            "quotas": {str(k): v for k, v in sorted(self.quotas.items())},
-            "outputs": list(self.outputs),
-            "tool_version": __version__,
-            "runtime_seconds": self.runtime_seconds,
-        }
-
-
-class Stopwatch:
-    def __enter__(self) -> "Stopwatch":
-        self.start = time.perf_counter()
-        self.elapsed = 0.0
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.elapsed = time.perf_counter() - self.start
 
 
 def profile_to_csv(profile: DistanceProfile) -> str:

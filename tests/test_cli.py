@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -43,13 +44,13 @@ class TestBases:
 
 class TestClassify:
     def test_csv_summary(self, capsys):
-        code, out, _ = run(capsys, "classify", "--recipe", "C2,C2",
-                           "--function", "0000000100011110")
+        code, out, err = run(capsys, "classify", "--recipe", "C2,C2",
+                             "--function", "0000000100011110")
         assert code == 0
         assert "index,bitstring,probability" in out
-        assert "distance 1" in out
-        assert "theta 0.765625" in out
-        assert "nearest_kets [0]" in out
+        assert "distance 1" in err
+        assert "theta 0.765625" in err
+        assert "nearest_kets [0]" in err
 
     def test_json_to_file(self, capsys, tmp_path):
         target = tmp_path / "dist.json"
@@ -91,12 +92,21 @@ class TestEnumerate:
         assert manifest["recipe"] == "H,C2"
         assert manifest["runtime_seconds"] > 0
 
-    def test_ascii_histogram_to_stdout(self, capsys):
-        code, out, _ = run(capsys, "enumerate", "--recipe", "H,H,H",
+    def test_ascii_histogram_to_stderr(self, capsys):
+        code, _, err = run(capsys, "enumerate", "--recipe", "H,H,H",
                            "--hist", "ascii")
         assert code == 0
-        assert "recipe H,H,H" in out
-        assert "#" in out and "*" in out
+        assert "recipe H,H,H" in err
+        assert "#" in err and "*" in err
+
+    def test_manifest_lists_the_svg_chart(self, capsys, tmp_path):
+        target = tmp_path / "p.csv"
+        code, _, _ = run(capsys, "enumerate", "--recipe", "H,C2",
+                         "--out", str(target), "--hist", "svg")
+        assert code == 0
+        manifest = json.loads((tmp_path / "p.csv.manifest.json").read_text())
+        assert manifest["outputs"] == [str(target), f"{target}.svg"]
+        assert (tmp_path / "p.csv.svg").read_text().startswith("<svg")
 
     def test_missing_output_directory_is_an_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.csv"
@@ -519,10 +529,11 @@ class TestGame:
         assert game(9) != out
 
 
-class TestJsonOnStdout:
-    """With --format json and no --out, stdout is the JSON document
-    alone; the command's other lines go to stderr."""
+class TestDocumentOnStdout:
+    """With no --out, stdout is the document alone, in CSV or JSON; the
+    command's other lines go to stderr.  With --out they stay on stdout."""
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("argv,moved", [
         (("classify", "--recipe", "H,C2", "--function", "00000001"),
          ("distance 1  nearest_kets [0]  theta 0.562500",)),
@@ -533,15 +544,29 @@ class TestJsonOnStdout:
         (("enumerate", "--recipe", "H,C2", "--hist", "svg"),
          ("histogram written to profile.svg",)),
     ], ids=["classify", "enumerate_ascii", "sample", "enumerate_svg"])
-    def test_stdout_is_one_json_document(self, capsys, tmp_path, monkeypatch,
-                                         argv, moved):
+    def test_stdout_is_one_document(self, capsys, tmp_path, monkeypatch,
+                                    argv, moved, fmt):
         monkeypatch.chdir(tmp_path)
-        code, out, err = run(capsys, *argv, "--format", "json")
+        code, out, err = run(capsys, *argv, "--format", fmt)
         assert code == 0
-        json.loads(out)
+        if fmt == "json":
+            json.loads(out)
+        else:
+            rows = list(csv.reader(out.splitlines()))
+            assert len(rows) > 1
+            assert {len(row) for row in rows} == {len(rows[0])}
         for line in moved:
             assert line in err
             assert line not in out
+
+    def test_notes_stay_on_stdout_with_out(self, capsys, tmp_path):
+        target = tmp_path / "s.csv"
+        code, out, err = run(capsys, "sample", "--recipe", "C2,C2,H",
+                             "--quota", "1=5", "--format", "csv",
+                             "--out", str(target))
+        assert code == 0 and err == ""
+        assert "# probes:" in out and "# region [1, 4]" in out
+        assert target.read_text().startswith("distance,count,")
 
 
 class TestTopLevel:

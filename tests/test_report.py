@@ -3,11 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from basisket import __version__, exhaustive_profile, stratified_sample_profile
+from basisket import exhaustive_profile, stratified_sample_profile
 from basisket.report import (
     PROFILE_CSV_HEADER,
-    RunManifest,
-    Stopwatch,
     ascii_histogram,
     distribution_to_csv,
     distribution_to_json,
@@ -265,19 +263,3 @@ class TestCharts:
         empty = DistanceProfile.empty(("H",), "exhaustive")
         with pytest.raises(ValueError, match="empty"):
             ascii_histogram(empty)
-
-
-class TestManifestAndStopwatch:
-    def test_manifest_dict(self):
-        manifest = RunManifest("sample", "C2,C2,H", "sampled", seed=42,
-                               quotas={2: 10, 1: 10})
-        doc = manifest.to_dict()
-        assert doc["seed"] == 42
-        assert doc["tool_version"] == __version__
-        assert list(doc["quotas"]) == ["1", "2"]  # sorted, string keys
-        json.dumps(doc)  # must be serializable as-is
-
-    def test_stopwatch(self):
-        with Stopwatch() as timer:
-            sum(range(1000))
-        assert timer.elapsed > 0

@@ -73,8 +73,7 @@ def main() -> int:
                          text=True)
     output = run.stdout + run.stderr
     problems = verdict(run.returncode, failures(output))
-    print(output.rstrip().splitlines()[-1] if output.strip() else
-          "pytest printed nothing")
+    print(*output.strip().splitlines()[-1:])  # pytest's count line
     for problem in problems:
         print(problem)
     print("tier-1: FAIL" if problems else

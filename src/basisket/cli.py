@@ -100,7 +100,7 @@ def _notes(args):
     return sys.stdout if args.out else sys.stderr
 
 
-def _emit_profile(profile, args, runtime_seconds: float) -> None:
+def _emit_profile(profile, args, runtime_seconds: float, sampling) -> None:
     body = (profile_to_json(profile, runtime_seconds)
             if args.format == "json" else profile_to_csv(profile))
     _write_or_print(body, args.out)
@@ -114,10 +114,11 @@ def _emit_profile(profile, args, runtime_seconds: float) -> None:
         outputs = [args.out, target] if args.hist == "svg" else [args.out]
         manifest = {
             "subcommand": args.command,
-            "recipe": args.recipe,
+            "recipe": ",".join(profile.recipe),
             "mode": profile.mode,
             "seed": profile.seed,
             "quotas": {str(k): v for k, v in sorted(profile.quotas.items())},
+            **sampling,
             "outputs": outputs,
             "tool_version": __version__,
             "runtime_seconds": runtime_seconds,
@@ -160,7 +161,7 @@ def cmd_enumerate(args) -> int:
     spec = ClassifierSpec.parse(args.recipe)
     start = time.perf_counter()
     profile = exhaustive_profile(spec.factors)
-    _emit_profile(profile, args, time.perf_counter() - start)
+    _emit_profile(profile, args, time.perf_counter() - start, {})
     return 0
 
 
@@ -171,11 +172,13 @@ def cmd_sample(args) -> int:
     profile = stratified_sample_profile(
         spec.factors, quotas, args.seed,
         attempt_factor=args.attempt_factor)
-    _emit_profile(profile, args, time.perf_counter() - start)
+    short = list(profile.short_buckets)
+    _emit_profile(profile, args, time.perf_counter() - start,
+                  {"attempt_factor": args.attempt_factor,
+                   "short_buckets": short})
     notes = _notes(args)
-    if profile.short_buckets:
-        print(f"# short buckets (quota unmet): {list(profile.short_buckets)}",
-              file=notes)
+    if short:
+        print(f"# short buckets (quota unmet): {short}", file=notes)
     print("# probes:", file=notes)
     for name, report in probe_suite(spec.factors):
         print(f"#   {name}: distance {report.nearest.distance} "
@@ -214,7 +217,7 @@ def cmd_game(args) -> int:
         with open(args.rounds_out, "w", encoding="utf-8") as fh:
             write_rounds(config, fh)
     print(json.dumps({
-        "recipe": args.recipe, "bob": args.bob, "alice": args.alice,
+        "recipe": ",".join(config.recipe), "bob": args.bob, "alice": args.alice,
         "distance": args.distance, "trials": args.trials, "seed": args.seed,
         "alice_win_rate": result.rate, "standard_error": result.standard_error,
         "wilson_95": list(result.wilson_95),

@@ -74,7 +74,6 @@ class DistanceProfile:
     nearest: np.ndarray  # int64, shape (L + 1, L + 1)
     seed: int | None = None
     quotas: dict[int, int] = field(default_factory=dict)
-    short_buckets: tuple[int, ...] = ()
 
     @classmethod
     def empty(cls, recipe: Sequence[str], mode: str,
@@ -94,6 +93,12 @@ class DistanceProfile:
     @property
     def counts(self) -> np.ndarray:
         return self.nearest.sum(axis=1)
+
+    @property
+    def short_buckets(self) -> tuple[int, ...]:
+        """The distances whose count is below their quota, ascending."""
+        counts = self.counts
+        return tuple(d for d, q in sorted(self.quotas.items()) if counts[d] < q)
 
     def add_batch(self, distances: np.ndarray, nearest: np.ndarray) -> None:
         size = self.length + 1
@@ -319,8 +324,8 @@ def stratified_sample_profile(
     then classified and counted into the profile BLOCK attempts at a
     time, so no batch-sized distance, |N| or bincount key array is
     made, and a batch is dropped before the next is drawn.  A bucket
-    that stays short of quota after attempt_factor * quota attempts is
-    flagged in `short_buckets` rather than failing the run.
+    short of quota after attempt_factor * quota attempts does not fail
+    the run: `short_buckets` lists it unless a later target fills it.
     Deterministic given the seed: the same seed gives the same profile,
     byte for byte, within one version of the sampler.
 
@@ -346,7 +351,6 @@ def stratified_sample_profile(
     rng = np.random.default_rng(seed)
     profile = DistanceProfile.empty(
         recipe, "sampled", seed=seed, quotas=per_distance_quota)
-    short: list[int] = []
     for d in sorted(per_distance_quota):
         quota = per_distance_quota[d]
         cap = attempt_factor * quota
@@ -361,9 +365,6 @@ def stratified_sample_profile(
             del values  # not alive while the next batch is drawn
             attempts += batch
             batch = min(batch * 2, 1 << 17)
-        if profile.counts[d] < quota:
-            short.append(d)
-    profile.short_buckets = tuple(short)
     return profile
 
 
@@ -469,7 +470,7 @@ def interval_summary(profile: DistanceProfile) -> IntervalSummary:
 def merge_profiles(a: DistanceProfile, b: DistanceProfile) -> DistanceProfile:
     """Bucket-wise sum of two shards of the same run, exact in any order.
     The merge has no one seed (each shard's manifest keeps its own) and
-    sums the shards' quotas per distance."""
+    sums the shards' quotas per distance, which set its short buckets."""
     if (a.recipe, a.mode) != (b.recipe, b.mode):
         raise ValueError(
             f"cannot merge profiles with different metadata: "
@@ -481,5 +482,4 @@ def merge_profiles(a: DistanceProfile, b: DistanceProfile) -> DistanceProfile:
     quotas = {d: a.quotas.get(d, 0) + b.quotas.get(d, 0)
               for d in sorted(a.quotas.keys() | b.quotas.keys())}
     return DistanceProfile(
-        a.recipe, a.mode, a.nearest + b.nearest, quotas=quotas,
-        short_buckets=tuple(sorted(set(a.short_buckets) | set(b.short_buckets))))
+        a.recipe, a.mode, a.nearest + b.nearest, quotas=quotas)

@@ -7,8 +7,8 @@ recipe, mode, length, seed, quotas, short buckets and runtime next to the
 same rows, each with one more key, ``"nearest": {"k": n, ...}``, the
 function count n of each nearest-set size k at that distance; reading a
 file back checks that every field is there with its JSON type, then its
-mode, its recipe's length, seed, quotas and short buckets, then rebuilds
-the exact (distance, |N|) table from its rows.
+mode, its recipe's length, seed and quotas, rebuilds the exact table
+from its rows, and checks that the short buckets are those it gives.
 Charts show two series per distance, function count and mean threshold,
 as fixed-width ASCII bars or a standalone SVG.
 """
@@ -92,10 +92,10 @@ def _field(obj: dict, key: str, kind: type | None, where: str):
 
 def profile_from_json(text: str) -> DistanceProfile:
     """The profile a profile_to_json document holds.  A missing field, a
-    field of the wrong JSON type, or a malformed mode, length, seed,
-    quota, short bucket or row raises ValueError naming the field, rather
-    than loading a profile that a later merge_profiles or report would
-    trip over."""
+    field of the wrong JSON type, a malformed mode, length, seed, quota
+    or row, or a short_buckets list other than the one the rows and
+    quotas give raises ValueError naming the field, rather than loading
+    a profile that a later merge_profiles or report would trip over."""
     doc = json.loads(text)
     if type(doc) is not dict:
         raise ValueError("profile: the document is not a JSON object")
@@ -124,13 +124,6 @@ def profile_from_json(text: str) -> DistanceProfile:
                              f"not an integer >= 1")
         profile.quotas[d] = quota
     short = _field(doc, "short_buckets", list, "profile")
-    for d in short:
-        if type(d) is not int or d not in profile.quotas:
-            raise ValueError(f"short_buckets: {d!r} is not a distance "
-                             f"with a quota")
-        if short.count(d) > 1:
-            raise ValueError(f"short_buckets: distance {d} appears twice")
-    profile.short_buckets = tuple(short)
     seen = set()
     for i, row in enumerate(_field(doc, "rows", list, "profile")):
         if type(row) is not dict:
@@ -164,6 +157,9 @@ def profile_from_json(text: str) -> DistanceProfile:
             raise ValueError(
                 f"row at distance {d}: nearest counts sum to "
                 f"{profile.counts[d]}, not count {count}")
+    if short != list(profile.short_buckets) or not all(map(_is_count, short)):
+        raise ValueError(f"short_buckets {short!r} are not the buckets "
+                         f"below quota, {list(profile.short_buckets)}")
     return profile
 
 

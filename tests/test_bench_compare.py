@@ -1,6 +1,7 @@
 """tools/bench_compare.py's per-metric verdicts on synthetic runs: a
 metric whose base runs spread wider than its bound is `unresolved`
-unless every run of the change beats every run of the base."""
+unless every run of the change beats every run of the base; and the
+record's `bytecode_caching`, read off an environment mapping."""
 
 import importlib.util
 from pathlib import Path
@@ -55,3 +56,11 @@ def test_narrow_spread_is_resolved(bench_compare):
     assert result["spread"] < SPEC["bound"]
     assert not result["unresolved"]
     assert result["within_bound"]
+
+
+@pytest.mark.parametrize("environ, caching", [
+    ({"PYTHONDONTWRITEBYTECODE": "1", "PATH": "/usr/bin"}, "off"),
+    ({"PATH": "/usr/bin"}, "on"),
+])
+def test_bytecode_caching(bench_compare, environ, caching):
+    assert bench_compare.bytecode_caching(environ) == caching

@@ -144,6 +144,17 @@ class TestSample:
         assert "all_ones" in out
         assert "# region [1, 4] (above_half): consistent" in out
 
+    def test_short_buckets_agree_with_the_rows(self, capsys):
+        # flips at the later targets fill 10 and 11 (61 and 35 functions)
+        quotas = [f"--quota={d}=20" for d in range(10, 17)]
+        code, out, err = run(capsys, "sample", "--recipe", "C2,C2,H",
+                             "--seed", "0", "--attempt-factor", "1", *quotas,
+                             "--format", "json")
+        assert code == 0
+        assert "# short buckets (quota unmet): [12, 13, 14, 15, 16]" in \
+            err.splitlines()
+        assert json.loads(out)["short_buckets"] == [12, 13, 14, 15, 16]
+
     def test_seed_env_var_default(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "77")
         out_a = tmp_path / "a.json"
@@ -270,9 +281,36 @@ class TestManifest:
             '{\n  "subcommand": "sample",\n  "recipe": "C2,C2,H",\n'
             '  "mode": "sampled",\n  "seed": 5,\n'
             '  "quotas": {\n    "1": 20,\n    "2": 20\n  },\n'
+            '  "attempt_factor": 50,\n  "short_buckets": [],\n'
             '  "outputs": [\n    "s.csv"\n  ],\n'
             f'  "tool_version": "{basisket.__version__}",\n'
             '  "runtime_seconds": 0\n}')
+
+    def test_sample_manifest_records_the_attempt_factor(self, capsys,
+                                                         tmp_path,
+                                                         monkeypatch):
+        # factor 1 leaves d=12 short at 2 functions, factor 1000 fills it
+        manifests = []
+        for factor in (1, 1000):
+            (tmp_path / str(factor)).mkdir()
+            manifests.append(json.loads(self.manifest_text(
+                capsys, tmp_path / str(factor), monkeypatch, "sample",
+                "--recipe", "C2,C2,H", "--seed", "1", "--quota", "12=20",
+                "--attempt-factor", str(factor), "--out", "s.csv")))
+        low, high = manifests
+        assert {key for key in low if low[key] != high[key]} == {
+            "attempt_factor", "short_buckets"}
+        assert (low["attempt_factor"], low["short_buckets"]) == (1, [12])
+        assert (high["attempt_factor"], high["short_buckets"]) == (1000, [])
+
+    def test_manifest_records_the_parsed_recipe(self, capsys, tmp_path,
+                                                monkeypatch):
+        manifest = json.loads(self.manifest_text(
+            capsys, tmp_path, monkeypatch, "enumerate", "--recipe",
+            " H , C2", "--format", "json", "--out", "sp.json"))
+        assert manifest["recipe"] == "H,C2"
+        assert json.loads((tmp_path / "sp.json").read_text())["recipe"] == \
+            "H,C2"
 
     def test_enumerate_manifest_bytes(self, capsys, tmp_path, monkeypatch):
         text = self.manifest_text(
@@ -357,6 +395,12 @@ class TestGame:
         assert 0.9 < low < high == 1.0
         assert list(doc).index("wilson_95") == list(doc).index(
             "standard_error") + 1
+
+    def test_summary_echoes_the_parsed_recipe(self, capsys):
+        code, out, _ = run(capsys, "game", "--recipe", "C2, C2",
+                           "--trials", "10", "--seed", "1")
+        assert code == 0
+        assert json.loads(out)["recipe"] == "C2,C2"
 
     def test_distance_needs_the_at_distance_strategy(self, capsys):
         # pivot plays at L/8 = 2; a summary saying "distance": 3 would lie

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from basisket import (
     ClassifierSpec,
@@ -29,7 +31,7 @@ from basisket.experiment import (
     _unrank_subsets,
     regions,
 )
-from basisket.report import profile_to_json
+from basisket.report import profile_from_json, profile_to_json
 from conftest import all_recipes
 
 # frozen exhaustive aggregates for the pure rank-4 recipe:
@@ -49,6 +51,11 @@ C2C2_EXPECTED = {
 }
 
 SAMPLED_RECIPE = ("C2", "C2", "H")  # length 32, the smallest sampled rank
+
+
+def quota_unmet(counts, quotas):
+    """The distances whose count is below their quota, ascending."""
+    return tuple(d for d, q in sorted(quotas.items()) if counts[d] < q)
 
 
 class TestExhaustiveProfile:
@@ -327,6 +334,23 @@ class TestStratifiedSampleProfile:
         assert 15 in profile.short_buckets
         assert profile.counts[15] < 50
 
+    def test_short_buckets_are_read_off_the_table(self):
+        # a flip at target 13..16 often lands nearer: the rows at 10 and
+        # 11 end with 61 and 35 functions, over their quota of 20
+        profile = stratified_sample_profile(
+            SAMPLED_RECIPE, {d: 20 for d in range(10, 17)}, seed=0,
+            attempt_factor=1)
+        assert profile.short_buckets == (12, 13, 14, 15, 16)
+        assert profile.short_buckets == quota_unmet(profile.counts,
+                                                    profile.quotas)
+
+    def test_short_buckets_is_not_a_field(self):
+        profile = stratified_sample_profile(SAMPLED_RECIPE, {1: 5}, seed=0)
+        assert "short_buckets" not in {
+            f.name for f in dataclasses.fields(DistanceProfile)}
+        with pytest.raises(AttributeError):
+            profile.short_buckets = (1,)
+
     def test_quota_distance_range(self):
         with pytest.raises(ValueError, match="outside"):
             stratified_sample_profile(SAMPLED_RECIPE, {17: 10}, seed=0)
@@ -440,6 +464,16 @@ class TestMergeProfiles:
         chain = merge_profiles(merge_profiles(merge_profiles(a, b), c), d)
         assert profile_to_json(pairs) == profile_to_json(chain)
 
+    def test_short_buckets_follow_the_summed_counts(self):
+        # 2 + 55 functions at d=12 meet the summed quota of 40, though
+        # the seed-1 shard alone is short there
+        a = stratified_sample_profile(SAMPLED_RECIPE, {12: 20}, seed=1,
+                                      attempt_factor=1)
+        b = stratified_sample_profile(SAMPLED_RECIPE, {12: 20}, seed=3,
+                                      attempt_factor=1000)
+        assert a.short_buckets == (12,)
+        assert merge_profiles(a, b).short_buckets == ()
+
     def test_metadata_mismatch(self):
         a = exhaustive_profile(("H", "H"))
         b = exhaustive_profile(("H", "C2"))
@@ -466,3 +500,32 @@ class TestRecipeRho:
         assert rho(("C2",)) == 3
         assert rho(("C2", "C2")) == 10
         assert rho(("H", "C2")) is None
+
+
+@st.composite
+def sample_requests(draw):
+    """Small quotas at L = 32 with an attempt factor of 1 to 5, so that
+    some buckets come up short and later targets fill earlier ones."""
+    quotas = draw(st.dictionaries(st.integers(1, 16), st.integers(1, 12),
+                                  min_size=1, max_size=5))
+    return quotas, draw(st.integers(1, 5))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(sample_requests(), sample_requests())
+def test_short_buckets_are_the_unmet_quotas(first, second):
+    """The short buckets of a sample, of its JSON round trip and of a
+    merge are the distances whose count is below their quota."""
+    shards = [stratified_sample_profile(SAMPLED_RECIPE, quotas, seed=seed,
+                                        attempt_factor=factor)
+              for seed, (quotas, factor) in enumerate((first, second))]
+    for profile in shards:
+        short = quota_unmet(profile.counts, profile.quotas)
+        assert profile.short_buckets == short
+        assert profile_from_json(profile_to_json(profile)).short_buckets == \
+            short
+    a, b = shards
+    quotas = {d: a.quotas.get(d, 0) + b.quotas.get(d, 0)
+              for d in a.quotas.keys() | b.quotas.keys()}
+    assert merge_profiles(a, b).short_buckets == quota_unmet(
+        a.counts + b.counts, quotas)

@@ -31,6 +31,14 @@ def sampled():
     return stratified_sample_profile(("C2", "C2", "H"), {1: 10, 2: 10}, seed=5)
 
 
+@pytest.fixture(scope="module")
+def short():
+    """Short at 12..16 only: flips at the later targets fill 10 and 11."""
+    return stratified_sample_profile(
+        ("C2", "C2", "H"), {d: 20 for d in range(10, 17)}, seed=0,
+        attempt_factor=1)
+
+
 class TestCsv:
     def test_header_and_rows(self, profile):
         lines = profile_to_csv(profile).splitlines()
@@ -153,8 +161,8 @@ class TestJson:
          "quotas: distance '99' is not an integer in 1..16"),
         ("quotas", {"1": 10, "x": 10}, "quotas: distance 'x' is not"),
         ("quotas", {"1": 10, "01": 10}, "quotas: distance 1 appears twice"),
-        ("short_buckets", [99], "short_buckets: 99 is not a distance"),
-        ("short_buckets", ["x"], "short_buckets: 'x' is not a distance"),
+        ("short_buckets", [99], r"short_buckets \[99\] are not the"),
+        ("short_buckets", ["x"], r"short_buckets \['x'\] are not the"),
         ("seed", "seven", "seed 'seven' is not null or an integer"),
         ("seed", -1, "seed -1 is not null or an integer"),
     ], ids=["quota-text", "quota-negative", "quota-distance-99",
@@ -171,8 +179,30 @@ class TestJson:
         doc = json.loads(profile_to_json(sampled))
         doc["short_buckets"] = [1, 2, 1]
         with pytest.raises(ValueError,
-                           match="short_buckets: distance 1 appears twice"):
+                           match=r"short_buckets \[1, 2, 1\] are not the"):
             profile_from_json(json.dumps(doc))
+
+    # each loaded before the reader derived the short buckets: [1] has a
+    # row of 64 >= 10 functions, 10..16 is what the sampler stored for
+    # `short` although its rows at 10 and 11 meet their quota, and 12.0
+    # equals 12 but is not an integer
+    @pytest.mark.parametrize("which, value", [
+        ("sampled", [1]),
+        ("short", [10, 11, 12, 13, 14, 15, 16]),
+        ("short", [12.0, 13, 14, 15, 16]),
+    ], ids=["met-quota", "stored-by-the-sampler", "float"])
+    def test_short_buckets_other_than_the_rows_rejected(self, request, which,
+                                                        value):
+        doc = json.loads(profile_to_json(request.getfixturevalue(which)))
+        doc["short_buckets"] = value
+        with pytest.raises(ValueError, match="short_buckets"):
+            profile_from_json(json.dumps(doc))
+
+    def test_short_buckets_round_trip(self, short):
+        doc = json.loads(profile_to_json(short))
+        assert doc["short_buckets"] == [12, 13, 14, 15, 16]
+        assert profile_from_json(json.dumps(doc)).short_buckets == \
+            (12, 13, 14, 15, 16)
 
     # each escaped at the parent of this check as another exception than
     # ValueError, or (a float length) loaded

@@ -20,9 +20,11 @@ BENCHMARK.json, the base's quartile spread over its median (`spread`)
 and whether the metric is `unresolved` (that spread exceeds the bound
 and not every working-tree run beats every base run); next to them each
 run's attempted/failed check counts, the traced run's attempted/failed
-counts and failures, both commit SHAs, and the run environment (CPU,
-nproc, Python and numpy versions) that perfbench/run.py wrote on each
-side.
+counts and failures, both commit SHAs, the run environment (CPU, nproc,
+Python and numpy versions) that perfbench/run.py wrote on each side, and
+whether bytecode caching was off (`bytecode_caching`): the perfbench runs
+inherit this process's environment, so with it off every setup_s
+includes compiling src.
 Exits 1 if any run, traced or not, failed a check.
 """
 
@@ -30,10 +32,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -45,6 +49,13 @@ TRACE_SEED = 1
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+def bytecode_caching(environ: Mapping[str, str]) -> str:
+    """Whether `environ` turns bytecode caching off: "off" when it sets
+    PYTHONDONTWRITEBYTECODE to a non-empty string, as Python reads it,
+    else "on"."""
+    return "off" if environ.get("PYTHONDONTWRITEBYTECODE") else "on"
 
 
 def unpack(rev: str, target: Path) -> None:
@@ -139,6 +150,7 @@ def main() -> int:
                   "dirty": bool(git("status", "--porcelain", "--", "src",
                                     "perfbench"))},
         "seeds": list(SEEDS), "seconds": seconds,
+        "bytecode_caching": bytecode_caching(os.environ),
         "best": "min of the runs for lower-is-better metrics, max for "
                 "higher-is-better ones",
         "workloads": {},

@@ -272,30 +272,25 @@ def range_distances(spec: ClassifierSpec,
     """member_distances(member_array(spec), values) for a range of
     consecutive function values, added from the two half_word_tables.
 
-    Values with one high half form a row of 2**(L/2) low halves.  A range
-    of whole aligned rows (every exhaustive block at L <= 16) gets each
-    of its high halves' table column plus the whole low-half table; a
-    range inside one row (a block at L = 32) gets that row's high-half
-    column plus a slice of the low-half table.  Any other range raises
-    ValueError.  Both are one broadcast add into a new uint8 (M, n)
+    Values with one high half form a row of 2**(L/2) low halves.  The
+    range's first value is (h0, l0) and its last (h1, l1) as (high, low)
+    halves; it must be whole aligned rows (every exhaustive block at
+    L <= 16) or lie inside one row (a block at L = 32), else ValueError.
+    Either way its distances are the high-half columns h0..h1 plus the
+    low-half columns l0..l1: one broadcast add into a new uint8 (M, n)
     array, with no popcount.
     """
     hi_table, lo_table = half_word_tables(spec)
-    row = 1 << spec.dim // 2
-    start, stop = values.start, values.stop
+    row, start, stop = 1 << spec.dim // 2, values.start, values.stop
     if values.step != 1 or not 0 <= start < stop <= 1 << spec.dim:
         raise ValueError(f"{values!r} is not a nonempty run of values "
                          f"in [0, 2**{spec.dim})")
-    if start % row == 0 and stop % row == 0:
-        dist = (hi_table[:, start // row:stop // row, None]
-                + lo_table[:, None, :]).reshape(len(lo_table), -1)
-    elif start // row == (stop - 1) // row:
-        lo = start % row
-        dist = (hi_table[:, start // row, None]
-                + lo_table[:, lo:lo + len(values)])
-    else:
+    (h0, l0), (h1, l1) = divmod(start, row), divmod(stop - 1, row)
+    if h0 != h1 and (l0, l1) != (0, row - 1):
         raise ValueError(f"{values!r} is neither whole rows of {row} values "
                          f"nor inside one row")
+    dist = (hi_table[:, h0:h1 + 1, None]
+            + lo_table[:, None, l0:l1 + 1]).reshape(len(lo_table), -1)
     return dist, dist.min(axis=0)
 
 

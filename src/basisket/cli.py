@@ -72,6 +72,9 @@ def _seed(text: str, source: str = "") -> int:
 
 def _parse_quotas(items: list[str] | None, length: int) -> dict[int, int]:
     if not items:
+        if length < 4:
+            raise ValueError(f"length {length} has no distance below L/2 "
+                             "for the default quota; give --quota D=COUNT")
         return {d: DEFAULT_QUOTA for d in range(1, length // 2)}
     quotas: dict[int, int] = {}
     for item in items:

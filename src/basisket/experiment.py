@@ -8,10 +8,11 @@ blocks are ranges of consecutive values, whose member distances come
 from two cached half-word tables (``classifier.range_distances``);
 sampled values, probes and the game take the popcount kernel.  For
 lengths 32 and 64 exhaustive enumeration is out of reach, so a
-stratified sampler flips random bit subsets of random basis members and
-credits each sample to its true distance bucket, while deterministic
-probes (all-ones, all-zeros, member complements) cover the far half of
-the distance axis that random flips cannot reach.
+stratified sampler, which takes a recipe of any length, flips random
+bit subsets of random basis members and credits each sample to its true
+distance bucket, while deterministic probes (all-ones, all-zeros,
+member complements) cover the far half of the distance axis that random
+flips cannot reach.
 """
 
 from __future__ import annotations
@@ -312,7 +313,7 @@ def stratified_sample_profile(
     seed: int,
     attempt_factor: int = ATTEMPT_FACTOR,
 ) -> DistanceProfile:
-    """Sampled profile for rank-5/6 recipes.
+    """Sampled profile for a recipe of any length.
 
     For each target distance d, flips a uniformly random d-subset of a
     uniformly random member's bits, computes the true minimum distance,
@@ -334,10 +335,6 @@ def stratified_sample_profile(
     needs an attempt_factor far above the default.
     """
     spec = ClassifierSpec(recipe)
-    if spec.total_bits <= EXHAUSTIVE_RANK_CAP:
-        raise ValueError(
-            f"rank {spec.total_bits} is exhaustively enumerable; "
-            "use exhaustive_profile")
     members = member_array(spec)
     length = spec.dim
     half = length // 2

@@ -116,6 +116,10 @@ class TestInitialAmplitudes:
                 want = (1 if h.bit(x) == 0 else -1) / sqrt(length)
                 assert abs(amps[x] - want) < ALGEBRA_TOL
 
+    def test_arity_cap(self):
+        with pytest.raises(ValueError, match="function arity 7 exceeds cap 6"):
+            initial_amplitudes(PatternVector(0, 128))
+
 
 class TestFactorButterflies:
     def test_h_factor_matches_dense_on_each_bit(self):

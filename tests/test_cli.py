@@ -9,7 +9,8 @@ import pytest
 
 import basisket
 from basisket.classifier import ClassifierSpec, classification_threshold
-from basisket.cli import SEED_ENV_VAR, build_parser, cli_dispatch
+from basisket.cli import (DEFAULT_QUOTA, SEED_ENV_VAR, build_parser,
+                          cli_dispatch)
 from basisket.experiment import ATTEMPT_FACTOR
 from basisket.game import ROUND_BLOCK
 from basisket.patterns import PatternVector
@@ -239,6 +240,25 @@ class TestSample:
                              "--format", "json", "--out", str(target))
         assert code == 1
         assert err.rstrip().endswith("--quota gives distance 3 twice")
+        assert out == "" and not target.exists()
+
+    def test_default_quota_below_half_the_length(self, capsys, tmp_path):
+        target = tmp_path / "p.csv"
+        code, _, _ = run(capsys, "sample", "--recipe", "H,C2", "--seed", "1",
+                         "--out", str(target))
+        assert code == 0
+        manifest = json.loads(
+            (tmp_path / "p.csv.manifest.json").read_text())
+        assert manifest["quotas"] == {d: DEFAULT_QUOTA for d in "123"}
+        assert DEFAULT_QUOTA == 200
+
+    def test_length_two_has_no_default_quota(self, capsys, tmp_path):
+        target = tmp_path / "p.csv"
+        code, out, err = run(capsys, "sample", "--recipe", "H",
+                             "--out", str(target))
+        assert code == 1
+        assert err == ("error: length 2 has no distance below L/2 for the "
+                       "default quota; give --quota D=COUNT\n")
         assert out == "" and not target.exists()
 
     def test_attempt_factor_default_is_the_library_default(self):

@@ -20,7 +20,7 @@ from basisket import (
     probe_suite,
     stratified_sample_profile,
 )
-from basisket.classifier import member_array
+from basisket.classifier import member_array, member_distances
 from basisket.experiment import (
     BLOCK,
     GUIDE_BITS,
@@ -145,6 +145,45 @@ class TestExhaustiveProfile:
 
 #: every recipe short enough to enumerate, L <= 16
 EXHAUSTIVE_RECIPES = [",".join(recipe) for recipe in all_recipes(4)]
+
+
+def test_one_exhaustive_table_per_factor_multiset():
+    # swapping two factors transposes the bit positions and relabels the
+    # members the same way, an isometry that keeps every (d, |N|)
+    tables: dict[tuple[str, ...], list[np.ndarray]] = {}
+    for recipe in all_recipes(4):
+        tables.setdefault(tuple(sorted(recipe)), []).append(
+            exhaustive_profile(recipe).nearest)
+    assert len(EXHAUSTIVE_RECIPES) == 11 and len(tables) == 8
+    for first, *rest in tables.values():
+        assert all(np.array_equal(table, first) for table in rest)
+    firsts = [group[0] for group in tables.values()]
+    for i, a in enumerate(firsts):
+        for b in firsts[i + 1:]:
+            assert not np.array_equal(a, b)
+
+
+#: |G| for each recipe with L <= 16, G = {t : S xor t = S} the translation
+#: group of its member set S
+TRANSLATION_GROUP_ORDERS = {
+    "H": 2, "C2": 1, "H,H": 4, "H,C2": 2, "C2,H": 2, "H,H,H": 8,
+    "C2,C2": 1, "H,H,C2": 4, "H,C2,H": 4, "C2,H,H": 4, "H,H,H,H": 16}
+
+
+@pytest.mark.parametrize("recipe", EXHAUSTIVE_RECIPES)
+def test_class_distance_is_constant_on_cosets(recipe):
+    # h xor t is as far from m xor t as h is from m, and t in G permutes
+    # the members, so every function of h xor G has h's (d, |N|)
+    members = member_array(ClassifierSpec(recipe.split(",")))
+    group = [t for t in members ^ members[0]
+             if set((members ^ t).tolist()) == set(members.tolist())]
+    assert len(group) == TRANSLATION_GROUP_ORDERS[recipe]
+    values = np.arange(1 << len(members), dtype=members.dtype)
+    dist, dmin = member_distances(members, values)
+    cells = (dmin.astype(np.int64) * (len(members) + 1)
+             + (dist == dmin).sum(axis=0))  # (d, |N|) as one int
+    for t in group:
+        assert np.array_equal(cells[values ^ t], cells)
 
 
 @pytest.fixture(scope="module")
@@ -368,9 +407,32 @@ class TestStratifiedSampleProfile:
             stratified_sample_profile(SAMPLED_RECIPE, {1: 5}, seed=0,
                                       attempt_factor=factor)
 
-    def test_small_ranks_are_redirected_to_exhaustive(self):
-        with pytest.raises(ValueError, match="exhaustively enumerable"):
-            stratified_sample_profile(("C2", "C2"), {1: 10}, seed=0)
+    @pytest.mark.parametrize("recipe", [("C2", "C2"), ("H", "H", "H", "H")],
+                             ids=",".join)
+    def test_flips_below_a_quarter_land_at_their_distance(self, recipe):
+        # below L/4 a flip of d bits of a member is d from it and at least
+        # L/2 - d > d from every other member: |N| = 1 at distance d
+        length = ClassifierSpec(recipe).dim
+        quotas = {d: 30 for d in range(1, length // 4)}
+        profile = stratified_sample_profile(recipe, quotas, seed=2)
+        rows = profile.rows()
+        assert list(rows) == list(quotas)
+        assert profile.short_buckets == ()
+        for d, bucket in rows.items():
+            assert bucket.nearest == {1: bucket.count}
+            assert bucket.min_theta == bucket.max_theta == \
+                (1 - 2 * d / length) ** 2
+
+    @pytest.mark.parametrize("recipe", EXHAUSTIVE_RECIPES)
+    def test_sampled_cells_are_exhaustive_cells(self, recipe):
+        # every (d, |N|) cell a flip reaches holds functions in the census
+        recipe = recipe.split(",")
+        half = ClassifierSpec(recipe).dim // 2
+        profile = stratified_sample_profile(
+            recipe, {d: 40 for d in range(1, half + 1)}, seed=5)
+        exact = exhaustive_profile(recipe)
+        assert profile.total() >= 40 * half
+        assert not np.any((profile.nearest > 0) & (exact.nearest == 0))
 
 
 class TestProbeSuite:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from basisket import (
+    NearestSet,
     PatternVector,
     basis_product,
     build_basis_from_recipe,
@@ -170,6 +171,17 @@ class TestValidateBasis:
         assert violation.xor_weight == 2
         assert violation.expected_weight == 1
 
+    def test_member_count_must_be_a_power_of_two(self):
+        with pytest.raises(ValueError, match="power of two >= 2, got 3"):
+            validate_basis((PV("000"), PV("001"), PV("010")))
+
+    def test_members_of_unequal_length_rejected(self):
+        # member 3 is 2 from each other member, so only its length is bad
+        with pytest.raises(ValueError,
+                           match="member 3 has length 8, expected 4"):
+            validate_basis((PV("0001"), PV("0010"), PV("0100"),
+                            PV("00001000")))
+
     def test_reports_first_offending_pair(self):
         # 0001 XOR 1110 = 1111 has weight 4, not 2
         violation = validate_basis(
@@ -204,6 +216,20 @@ class TestBasisProduct:
             for i in range(len(members)):
                 for j in range(i + 1, len(members)):
                     assert hamming_distance(members[i], members[j]) == half
+
+
+@pytest.mark.parametrize("recipe", all_recipes(6), ids=",".join)
+def test_signed_members_are_one_linear_code_translate(recipe):
+    # each recipe holds one word of every +- pair of one RM(1, m)
+    # translate: after m0, the members and their complements are a
+    # linear code of 2L words with weights 0, L/2 and L only
+    basis = build_basis_from_recipe([FACTOR_TO_BASIS[f] for f in recipe])
+    length, m0 = basis.length, basis.members[0].value
+    code = {m.value ^ m0 for m in basis.members} | {
+        m.negate().value ^ m0 for m in basis.members}
+    assert len(code) == 2 * length
+    assert {a ^ b for a in code for b in code} == code
+    assert {c.bit_count() for c in code} == {0, length // 2, length}
 
 
 class TestBuildBasisFromRecipe:
@@ -277,6 +303,10 @@ class TestClassRho:
     def test_recurrence(self):
         assert [rho_recurrence(m) for m in (1, 2, 3)] == [3, 10, 36]
 
+    def test_recurrence_starts_at_one(self):
+        with pytest.raises(ValueError, match="m must be >= 1, got 0"):
+            rho_recurrence(0)
+
     def test_b1_not_uniform(self):
         assert class_rho(builtin_basis("B1")) is None
 
@@ -299,3 +329,21 @@ class TestParsingAndPrinting:
         v = PV("0001")
         assert v.bit(0) == 1 and v.bit(3) == 0
         assert v.n == 2
+
+    def test_length_must_be_a_power_of_two(self):
+        with pytest.raises(ValueError, match="power of two >= 2, got 3"):
+            PatternVector(0, 3)
+
+    def test_value_must_fit_the_length(self):
+        with pytest.raises(ValueError, match="0x10 does not fit in 4 bits"):
+            PatternVector(16, 4)
+
+    def test_bit_index_out_of_range(self):
+        with pytest.raises(ValueError, match="index 4 out of range for "
+                                             "length 4"):
+            PV("0001").bit(4)
+
+
+def test_nearest_set_is_never_empty():
+    with pytest.raises(ValueError, match="at least one index"):
+        NearestSet(0, frozenset())

@@ -243,6 +243,17 @@ class TestJson:
                                              "count 8.0 is not an integer"):
             profile_from_json(json.dumps(doc))
 
+    def test_document_that_is_not_an_object_rejected(self):
+        with pytest.raises(ValueError, match="the document is not a JSON "
+                                             "object"):
+            profile_from_json("[]")
+
+    def test_row_that_is_not_an_object_rejected(self, profile):
+        doc = json.loads(profile_to_json(profile))
+        doc["rows"][1] = 5
+        with pytest.raises(ValueError, match="row 1: 5 is not an object"):
+            profile_from_json(json.dumps(doc))
+
     def test_document_shape(self, profile):
         doc = json.loads(profile_to_json(profile))
         assert doc["recipe"] == "H,C2"
@@ -291,5 +302,6 @@ class TestCharts:
     def test_empty_profile_rejected(self):
         from basisket import DistanceProfile
         empty = DistanceProfile.empty(("H",), "exhaustive")
-        with pytest.raises(ValueError, match="empty"):
-            ascii_histogram(empty)
+        for chart in (ascii_histogram, svg_histogram):
+            with pytest.raises(ValueError, match="profile is empty"):
+                chart(empty)

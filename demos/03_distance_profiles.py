@@ -9,7 +9,7 @@ threshold-1 spike back at distance rho.
 Run with: python demos/03_distance_profiles.py
 """
 
-from basisket import exhaustive_profile, interval_summary
+from basisket import ClassifierSpec, exhaustive_profile, interval_summary
 from basisket.report import ascii_histogram, profile_to_csv
 
 # Length 8: one of the three rank-3 recipes.
@@ -21,10 +21,7 @@ print(profile_to_csv(profile))
 profile = exhaustive_profile(("C2", "C2"))
 print(ascii_histogram(profile))
 
-summary = interval_summary(profile)
-for region in summary.regions:
-    status = "consistent" if region.consistent else \
-        f"violated at {list(region.offending)}"
-    print(f"region [{region.low}, {region.high}] "
-          f"({region.expectation}): {status}")
-print(f"rho = {summary.rho}, spike mean = {summary.rho_spike}")
+for region in interval_summary(profile).regions:
+    print(region)
+rho = ClassifierSpec(profile.recipe).rho()
+print(f"rho = {rho}, spike mean = {profile.rows()[rho].mean}")

@@ -35,8 +35,7 @@ for name, report in probe_suite(RECIPE):
 summary = interval_summary(profile)
 print(f"\nregion verdicts (consistent = {summary.consistent}):")
 for region in summary.regions:
-    print(f"  [{region.low:2d}, {region.high:2d}] {region.expectation}: "
-          f"{'ok' if region.consistent else list(region.offending)}")
+    print(f"  {region}")
 
 with open("profile32.svg", "w", encoding="utf-8") as fh:
     fh.write(svg_histogram(profile))

@@ -188,10 +188,7 @@ def cmd_sample(args) -> int:
               f"theta {report.theta:.6f}", file=notes)
     summary = interval_summary(profile)
     for region in summary.regions:
-        status = "consistent" if region.consistent else \
-            f"violated at {list(region.offending)}"
-        print(f"# region [{region.low}, {region.high}] "
-              f"({region.expectation}): {status}", file=notes)
+        print(f"# {region}", file=notes)
     if summary.monotonicity_violations:
         print(f"# note: non-monotone buckets at "
               f"{list(summary.monotonicity_violations)}", file=notes)

@@ -18,6 +18,7 @@ flips cannot reach.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
 from math import comb, prod
@@ -390,22 +391,29 @@ def probe_functions(basis: PatternBasis) -> list[tuple[str, PatternVector]]:
 
 @dataclass(frozen=True)
 class RegionVerdict:
-    """Consistency verdict for one distance region."""
+    """One region's verdict: its populated distances whose exact mean
+    breaks the region's expectation."""
 
     low: int
     high: int
     expectation: str
-    consistent: bool
     offending: tuple[int, ...]
+
+    @property
+    def consistent(self) -> bool:
+        return not self.offending
+
+    def __str__(self) -> str:
+        status = "consistent" if self.consistent else \
+            f"violated at {list(self.offending)}"
+        return f"region [{self.low}, {self.high}] ({self.expectation}): {status}"
 
 
 @dataclass(frozen=True)
 class IntervalSummary:
     """Three-region view of a profile: confident-yes, fading, zero."""
 
-    regions: tuple[RegionVerdict, RegionVerdict, RegionVerdict]
-    rho: int | None
-    rho_spike: float | None
+    regions: tuple[RegionVerdict, ...]
     monotonicity_violations: tuple[int, ...]
 
     @property
@@ -421,47 +429,43 @@ def regions(length: int) -> tuple[tuple[int, int], ...]:
     return (1, b1), (b1 + 1, b2 - 1), (b2, length)
 
 
-def interval_summary(profile: DistanceProfile) -> IntervalSummary:
-    """Classify populated buckets into the three standard regions.
+#: What each region of regions(L), in order, asks of a bucket's exact
+#: mean; `spike` is 1 at the class's rho (see ClassifierSpec.rho), else 0.
+_EXPECTATIONS = (
+    ("above_half", lambda mean, spike: mean > Fraction(1, 2)),
+    ("below_half", lambda mean, spike: 0 < mean < Fraction(1, 2)),
+    ("zero", lambda mean, spike: mean == spike),
+)
 
-    Region 1 (1 .. L/8): mean above 0.5.  Region 2 (L/8+1 .. L/2-1):
-    mean strictly between 0 and 0.5.  Region 3 (L/2 .. L): mean zero,
-    except the rho bucket when the recipe's class has a uniform zero
-    count (see ClassifierSpec.rho), where the mean must be 1.  Empty
-    buckets are skipped.  Monotonicity violations are reported
+
+def interval_summary(profile: DistanceProfile) -> IntervalSummary:
+    """Check each populated bucket's exact mean against its region.
+
+    Region 1 (1 .. L/8): mean above 1/2.  Region 2 (L/8+1 .. L/2-1):
+    mean strictly between 0 and 1/2.  Region 3 (L/2 .. L): mean zero,
+    except 1 at the class's rho, read from its spec (ClassifierSpec.rho).
+    Each mean is the Fraction sum(k n_k) (L - 2d)**2 / (count L**2) of
+    its nearest row, so every verdict is exact; an empty region (low >
+    high, at L < 8) is left out.  Monotonicity violations are reported
     informationally and never fail a region.
     """
-    means = {d: bucket.mean for d, bucket in profile.rows().items()}
+    length = profile.length
+    means = {d: Fraction(sum(k * n for k, n in bucket.nearest.items())
+                         * (length - 2 * d) ** 2, bucket.count * length ** 2)
+             for d, bucket in profile.rows().items()}
     if not means:
         raise ValueError("profile is empty")
-    uniform_rho = ClassifierSpec(profile.recipe).rho()
-
-    def check(low: int, high: int, expectation: str) -> RegionVerdict:
-        bad = []
-        for d, mean in means.items():
-            if not low <= d <= high:
-                continue
-            if expectation == "above_half":
-                ok = mean > 0.5
-            elif expectation == "below_half":
-                ok = 0.0 < mean < 0.5
-            elif d == uniform_rho:  # "zero", with the rho spike exemption
-                ok = abs(mean - 1.0) <= 1e-9
-            else:  # "zero"
-                ok = mean <= 1e-9
-            if not ok:
-                bad.append(d)
-        return RegionVerdict(low, high, expectation, not bad, tuple(bad))
-
+    rho = ClassifierSpec(profile.recipe).rho()
     verdicts = tuple(
-        check(low, high, expectation)
-        for (low, high), expectation in zip(
-            regions(profile.length), ("above_half", "below_half", "zero")))
-    spike = means.get(uniform_rho)  # None without a rho or samples there
+        RegionVerdict(low, high, expectation, tuple(
+            d for d, mean in means.items()
+            if low <= d <= high and not holds(mean, int(d == rho))))
+        for (low, high), (expectation, holds) in zip(regions(length),
+                                                     _EXPECTATIONS)
+        if low <= high)
     pop = [(d, mean) for d, mean in means.items() if d >= 1]
-    mono = tuple(d2 for (_, m1), (d2, m2) in zip(pop, pop[1:])
-                 if m2 > m1 + 1e-12)
-    return IntervalSummary(verdicts, uniform_rho, spike, mono)
+    mono = tuple(d2 for (_, m1), (d2, m2) in zip(pop, pop[1:]) if m2 > m1)
+    return IntervalSummary(verdicts, mono)
 
 
 def merge_profiles(a: DistanceProfile, b: DistanceProfile) -> DistanceProfile:

@@ -9,6 +9,9 @@ function count n of each nearest-set size k at that distance; reading a
 file back checks that every field is there with its JSON type, then its
 mode, its recipe's length, seed and quotas, rebuilds the exact table
 from its rows, and checks that the short buckets are those it gives.
+The runtime and each row's mean_theta, min_theta and max_theta must be
+numbers of JSON type float, but their values are not read: the reader
+keeps no runtime, and the thetas are recomputed from ``nearest``.
 Charts show two series per distance, function count and mean threshold,
 as fixed-width ASCII bars or a standalone SVG.
 """
@@ -74,8 +77,8 @@ def _is_count(value, low: int = 0) -> bool:
     return type(value) is int and value >= low
 
 
-_JSON_TYPES = {str: "a string", int: "an integer", list: "a list",
-               dict: "an object"}
+_JSON_TYPES = {str: "a string", int: "an integer", float: "a float",
+               list: "a list", dict: "an object"}
 
 
 def _field(obj: dict, key: str, kind: type | None, where: str):
@@ -124,6 +127,7 @@ def profile_from_json(text: str) -> DistanceProfile:
                              f"not an integer >= 1")
         profile.quotas[d] = quota
     short = _field(doc, "short_buckets", list, "profile")
+    _field(doc, "runtime_seconds", float, "profile")
     seen = set()
     for i, row in enumerate(_field(doc, "rows", list, "profile")):
         if type(row) is not dict:
@@ -135,6 +139,8 @@ def profile_from_json(text: str) -> DistanceProfile:
         if d in seen:
             raise ValueError(f"row at distance {d} appears twice")
         seen.add(d)
+        for key in ("mean_theta", "min_theta", "max_theta"):
+            _field(row, key, float, f"row at distance {d}")
         nearest = (_field(row, "nearest", dict, f"row at distance {d}")
                    if "nearest" in row else {})
         sizes = set()

@@ -145,6 +145,15 @@ class TestSample:
         assert "all_ones" in out
         assert "# region [1, 4] (above_half): consistent" in out
 
+    def test_empty_regions_are_not_printed(self, capsys):
+        # regions(2) gives [1, 0] twice; neither is a line
+        code, _, err = run(capsys, "sample", "--recipe", "H", "--seed", "1",
+                           "--quota", "1=40", "--format", "json")
+        assert code == 0
+        assert [line for line in err.splitlines()
+                if line.startswith("# region")] == [
+            "# region [1, 2] (zero): consistent"]
+
     def test_short_buckets_agree_with_the_rows(self, capsys):
         # flips at the later targets fill 10 and 11 (61 and 35 functions)
         quotas = [f"--quota={d}=20" for d in range(10, 17)]

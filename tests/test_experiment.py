@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -461,6 +462,52 @@ class TestProbeSuite:
             assert report.theta == pytest.approx(0.0, abs=1e-9)
 
 
+def exact_mean(profile, d):
+    """E[theta | d] as a Fraction, from the profile's table row at d."""
+    length, row = profile.length, profile.nearest[d].tolist()
+    return Fraction(sum(k * n for k, n in enumerate(row))
+                    * (length - 2 * d) ** 2, sum(row) * length ** 2)
+
+
+HALF = Fraction(1, 2)
+L8_VERDICTS = ((1, 1, "above_half", ()), (2, 3, "below_half", (2,)),
+               (4, 8, "zero", ()))
+L16_PASS = ((1, 2, "above_half", ()), (3, 7, "below_half", ()),
+            (8, 16, "zero", ()))
+H2C2 = (L16_PASS, {}, {5: (Fraction(35, 102), Fraction(1323, 3680))})
+#: recipe -> (low, high, expectation, offending) of each nonempty region,
+#: the exact mean at each offending distance, and each distance whose
+#: mean rises above the previous populated one's, with both means
+EXACT_VERDICTS = {
+    "H": (((1, 2, "zero", ()),), {}, {}),
+    "H,H": (((1, 1, "below_half", (1,)), (2, 4, "zero", ())), {1: HALF}, {}),
+    "C2": (((1, 1, "below_half", (1,)), (2, 4, "zero", ())),
+           {1: Fraction(4, 7)}, {3: (0, 1)}),
+    "H,H,H": (L8_VERDICTS, {2: HALF}, {}),
+    "H,C2": (L8_VERDICTS, {2: Fraction(7, 13)}, {}),
+    "C2,H": (L8_VERDICTS, {2: Fraction(7, 13)}, {}),
+    "H,H,H,H": (L16_PASS, {}, {5: (Fraction(13, 38), Fraction(189, 544))}),
+    "H,H,C2": H2C2, "H,C2,H": H2C2, "C2,H,H": H2C2,
+    "C2,C2": (((1, 2, "above_half", ()), (3, 7, "below_half", ()),
+               (8, 16, "zero", (9,))), {9: Fraction(5, 32)},
+              {5: (Fraction(91, 265), Fraction(3969, 10880)),
+               9: (0, Fraction(5, 32)), 10: (Fraction(5, 32), 1)}),
+}
+#: the d = L/4 row {|N|: function count} of each recipe with L = 8 or 16
+QUARTER_ROWS = {
+    "H,H,H": {1: 56, 3: 56},
+    **dict.fromkeys(("H,C2", "C2,H"), {1: 24, 2: 48, 3: 24, 4: 8}),
+    "H,H,H,H": {1: 14000, 2: 6720, 3: 560},
+    **dict.fromkeys(("H,H,C2", "H,C2,H", "C2,H,H"),
+                    {1: 13744, 2: 7104, 3: 304, 4: 64}),
+    "C2,C2": {1: 13680, 2: 7200, 3: 240, 4: 80},
+}
+#: c_k, k = 1..4, of the L/4 rows' law (see
+#: TestIntervalSummary.test_quarter_rows_differ_by_the_c2_count)
+QUARTER_LAW = (Fraction(1, 12), Fraction(-1, 8), Fraction(1, 12),
+               Fraction(-1, 48))
+
+
 class TestIntervalSummary:
     def test_rank4_exhaustive_regions(self):
         profile = exhaustive_profile(("C2", "C2"))
@@ -473,8 +520,8 @@ class TestIntervalSummary:
         assert (r3.low, r3.high) == (8, 16)
         assert r3.offending == (9,)
         assert not summary.consistent
-        assert summary.rho == 10
-        assert summary.rho_spike == pytest.approx(1.0, abs=1e-9)
+        assert ClassifierSpec(("C2", "C2")).rho() == 10
+        assert profile.rows()[10].mean == 1.0
         assert 5 in summary.monotonicity_violations
         assert 10 in summary.monotonicity_violations
 
@@ -491,6 +538,45 @@ class TestIntervalSummary:
         empty = DistanceProfile.empty(("H",), "exhaustive")
         with pytest.raises(ValueError, match="empty"):
             interval_summary(empty)
+
+    @pytest.mark.parametrize("recipe", EXHAUSTIVE_RECIPES)
+    def test_exact_verdicts_and_rises(self, recipe):
+        # the empty regions [1, 0] at L = 2 and 4 are left out
+        verdicts, offending_means, rises = EXACT_VERDICTS[recipe]
+        profile = exhaustive_profile(recipe.split(","))
+        summary = interval_summary(profile)
+        assert [(r.low, r.high, r.expectation, r.offending)
+                for r in summary.regions] == list(verdicts)
+        assert {d for r in summary.regions for d in r.offending} == \
+            set(offending_means)
+        for d, mean in offending_means.items():
+            assert exact_mean(profile, d) == mean
+        assert summary.monotonicity_violations == tuple(rises)
+        populated = list(profile.rows())
+        for d, means in rises.items():
+            before = populated[populated.index(d) - 1]
+            assert (exact_mean(profile, before), exact_mean(profile, d)) == \
+                means
+
+    @pytest.mark.parametrize("length", [8, 16])
+    def test_quarter_rows_differ_by_the_c2_count(self, length):
+        # at d = L/4 every flip of a member is a hit, so the row counts
+        # each of the M C(L, L/4) flips once per nearest member; two
+        # recipes with r and r' C2 factors differ by c_k (Q - Q') there,
+        # Q = L**3 / 4**r
+        rows = {recipe: exhaustive_profile(recipe.split(",")).rows()[
+                    length // 4].nearest
+                for recipe in EXHAUSTIVE_RECIPES
+                if ClassifierSpec(recipe.split(",")).dim == length}
+        assert rows == {recipe: QUARTER_ROWS[recipe] for recipe in rows}
+        for row in rows.values():
+            assert sum(k * n for k, n in row.items()) == \
+                length * math.comb(length, length // 4)
+        for a, b in itertools.combinations(rows, 2):
+            q = (Fraction(length ** 3, 4 ** a.count("C2"))
+                 - Fraction(length ** 3, 4 ** b.count("C2")))
+            for k, c in enumerate(QUARTER_LAW, 1):
+                assert rows[a].get(k, 0) - rows[b].get(k, 0) == c * q
 
 
 class TestMergeProfiles:

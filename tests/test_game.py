@@ -1,6 +1,7 @@
 import io
 import json
 from dataclasses import fields
+from fractions import Fraction
 from math import sqrt
 from statistics import NormalDist
 
@@ -16,6 +17,7 @@ from basisket import (
     class_rho,
     distance_from_class,
     estimate_win_rate,
+    exhaustive_profile,
     play_round,
 )
 from basisket.classifier import FACTOR_BITS, member_array, member_distances
@@ -480,6 +482,35 @@ class TestExactRate:
                             trials=20_000, seed=23)
         assert abs(estimate_win_rate(config).exact_rate
                    - 0.6591346153846154) < 0.005
+
+    def test_game_constants_from_the_table(self):
+        # uniform_random: the C2,C2 table against interval Alice, rho = 10,
+        # each bucket's theta sum won on yes and its complement on no
+        profile = exhaustive_profile(RANK4)
+        wins = Fraction(0)
+        for d, bucket in list(profile.rows().items())[1:]:
+            thetas = Fraction(sum(k * n for k, n in bucket.nearest.items())
+                              * (16 - 2 * d) ** 2, 16 ** 2)
+            wins += thetas if alice_interval_decide(d, 4, 10) else \
+                bucket.count - thetas
+        rate = wins / (profile.total() - 16)
+        assert rate == Fraction(1371, 2080)
+        assert float(rate) == 0.6591346153846154
+
+    @pytest.mark.parametrize("recipe", [r for r in all_recipes(4)
+                                        if ClassifierSpec(r).dim >= 8])
+    def test_pivot_rate_is_nine_sixteenths(self, recipe):
+        # |N| = 1 at L/8 < L/4, where Alice says yes: she wins p(L/8)
+        length = ClassifierSpec(recipe).dim
+        pivot = regions(length)[0][1]
+        bucket = exhaustive_profile(recipe).rows()[pivot]
+        assert list(bucket.nearest) == [1]
+        assert alice_interval_decide(pivot, length.bit_length() - 1)
+        assert Fraction((length - 2 * pivot) ** 2, length ** 2) == \
+            Fraction(9, 16)
+        config = GameConfig(recipe, "pivot", "interval_threshold",
+                            trials=64, seed=0)
+        assert estimate_win_rate(config).exact_rate == 9 / 16
 
     def test_sure_wins_are_exact(self):
         for distance in (8, 10):

@@ -174,6 +174,34 @@ class TestJson:
         with pytest.raises(ValueError, match=match):
             profile_from_json(json.dumps(doc))
 
+    # each loaded before the reader checked these fields
+    @pytest.mark.parametrize("key", ["mean_theta", "min_theta", "max_theta"])
+    @pytest.mark.parametrize("value", [None, "0.5", 1])
+    def test_row_theta_must_be_a_float(self, profile, key, value):
+        doc = json.loads(profile_to_json(profile))
+        row = doc["rows"][1]
+        if value is None:
+            del row[key]
+            match = f"missing field '{key}'"
+        else:
+            row[key] = value
+            match = f"{key} {value!r} is not a float"
+        with pytest.raises(ValueError, match=f"row at distance "
+                                             f"{row['distance']}: {match}"):
+            profile_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [None, "1.5"])
+    def test_runtime_must_be_a_float(self, profile, value):
+        doc = json.loads(profile_to_json(profile))
+        if value is None:
+            del doc["runtime_seconds"]
+            match = "missing field 'runtime_seconds'"
+        else:
+            doc["runtime_seconds"] = value
+            match = "runtime_seconds '1.5' is not a float"
+        with pytest.raises(ValueError, match=f"profile: {match}"):
+            profile_from_json(json.dumps(doc))
+
     def test_repeated_short_bucket_rejected(self, sampled):
         # it loaded as (1, 1) and was written back twice
         doc = json.loads(profile_to_json(sampled))

@@ -47,14 +47,15 @@ from .patterns import (
     PatternVector,
     RANK_CAP,
     build_basis_from_recipe,
+    builtin_basis,
     class_rho,
 )
 
-#: Index bits consumed by each classifier factor.
-FACTOR_BITS = {"H": 1, "C2": 2}
-
 #: Classifier factor -> basis factor correspondence.
 FACTOR_TO_BASIS = {"H": "B1", "C2": "Q2"}
+
+#: Index bits consumed by each classifier factor.
+FACTOR_BITS = {f: builtin_basis(b).rank for f, b in FACTOR_TO_BASIS.items()}
 
 #: Bytes of member-XOR-value words that member_distances holds at once.
 XOR_BUDGET = 1 << 18

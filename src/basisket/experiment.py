@@ -167,7 +167,8 @@ def exhaustive_profile(
     if spec.total_bits > EXHAUSTIVE_RANK_CAP:
         raise ValueError(
             f"rank {spec.total_bits} exceeds the exhaustive cap of "
-            f"{EXHAUSTIVE_RANK_CAP}; use stratified_sample_profile instead")
+            f"{EXHAUSTIVE_RANK_CAP}; use stratified_sample_profile "
+            f"(the `basisket sample` command) instead")
     members = member_array(spec)
     length = spec.dim
     total = 1 << length

@@ -7,7 +7,7 @@ a single XOR plus a popcount.  The textual form is MSB-first: index
 2**n - 1 is printed leftmost, e.g. the length-4 vector with f(0) = 1
 and f(1) = f(2) = f(3) = 0 prints as "0001".
 
-Bases are built from the two elementary factors:
+Bases are given by their members or built from the two elementary factors:
 
     B1 = (00, 01)                       rank 1
     Q2 = (0001, 0010, 0100, 1000)       rank 2
@@ -25,10 +25,11 @@ from typing import Sequence
 #: Largest supported basis rank (vectors of length 2**6 = 64).
 RANK_CAP = 6
 
-#: Valid basis factor names.
-BASIS_FACTORS = ("B1", "Q2")
+#: Member values of the elementary bases; a factor's rank is log2 of its count.
+_ELEMENTARY = {"B1": (0b00, 0b01), "Q2": (0b0001, 0b0010, 0b0100, 0b1000)}
 
-_FACTOR_RANK = {"B1": 1, "Q2": 2}
+#: Valid basis factor names.
+BASIS_FACTORS = tuple(_ELEMENTARY)
 
 
 @dataclass(frozen=True)
@@ -106,25 +107,26 @@ class BasisViolation:
 
 @dataclass(frozen=True)
 class PatternBasis:
-    """An ordered list of 2**n pairwise-orthogonal pattern vectors."""
+    """An ordered list of 2**n pairwise-orthogonal pattern vectors, which
+    validate_basis checks when it is built; n comes from the members.
+    ``recipe`` labels the elementary factors it was built from, () for a
+    basis given by its members, and must name factors of ranks summing to n."""
 
     members: tuple[PatternVector, ...]
     recipe: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if len(self.members) != 1 << self.rank:
-            raise ValueError(
-                f"rank-{self.rank} basis needs {1 << self.rank} members, "
-                f"got {len(self.members)}")
-        for m in self.members:
-            if m.length != self.length:
-                raise ValueError(
-                    f"member length {m.length} does not match rank {self.rank}")
+        violation = validate_basis(self.members)
+        if violation is not None:
+            raise ValueError(f"not a pattern basis: {violation}")
+        if self.recipe and sum(map(_factor_rank, self.recipe)) != self.rank:
+            raise ValueError(f"recipe {','.join(self.recipe)} does not have "
+                             f"the members' rank {self.rank}")
 
     @property
     def rank(self) -> int:
-        """Sum of the recipe's factor ranks."""
-        return sum(_FACTOR_RANK[f] for f in self.recipe)
+        """log2 of the member count."""
+        return len(self.members).bit_length() - 1
 
     @property
     def length(self) -> int:
@@ -177,23 +179,26 @@ def extended_product_eval(p: PatternVector, q: PatternVector, index: int) -> int
     return q.bit(j) ^ p.bit(i)
 
 
+def _factor_rank(factor: str) -> int:
+    """Rank of an elementary factor: log2 of its member count."""
+    if factor not in _ELEMENTARY:
+        raise ValueError(
+            f"unknown recipe factor {factor!r}; expected one of {BASIS_FACTORS}")
+    return len(_ELEMENTARY[factor]).bit_length() - 1
+
+
 def builtin_basis(kind: str) -> PatternBasis:
     """The elementary basis B1 or Q2."""
-    if kind == "B1":
-        members = (PatternVector(0b00, 2), PatternVector(0b01, 2))
-    elif kind == "Q2":
-        members = tuple(PatternVector(1 << i, 4) for i in range(4))
-    else:
+    if kind not in _ELEMENTARY:
         raise ValueError(f"unknown basis kind {kind!r}; expected one of {BASIS_FACTORS}")
+    values = _ELEMENTARY[kind]
+    members = tuple(PatternVector(v, len(values)) for v in values)
     return PatternBasis(members, (kind,))
 
 
 def basis_product(p_basis: PatternBasis, q_basis: PatternBasis) -> PatternBasis:
-    """Product basis: member a*2**rank(Q) + b is members[a] (.) members[b]."""
-    for basis in (p_basis, q_basis):
-        violation = validate_basis(basis.members)
-        if violation is not None:
-            raise ValueError(f"invalid input basis: {violation}")
+    """Product basis: member a*2**rank(Q) + b is members[a] (.) members[b].
+    Both inputs are pattern bases by construction, and so is the product."""
     members = tuple(
         pattern_product(pm, qm)
         for pm in p_basis.members for qm in q_basis.members)
@@ -205,11 +210,7 @@ def build_basis_from_recipe(recipe: Sequence[str]) -> PatternBasis:
     high-order index bits."""
     if not recipe:
         raise ValueError("recipe must contain at least one factor")
-    for factor in recipe:
-        if factor not in _FACTOR_RANK:
-            raise ValueError(
-                f"unknown recipe factor {factor!r}; expected one of {BASIS_FACTORS}")
-    total = sum(_FACTOR_RANK[f] for f in recipe)
+    total = sum(map(_factor_rank, recipe))
     if total > RANK_CAP:
         raise ValueError(
             f"recipe rank {total} exceeds the supported cap of {RANK_CAP}")
@@ -220,7 +221,8 @@ def build_basis_from_recipe(recipe: Sequence[str]) -> PatternBasis:
 
 
 def validate_basis(members: Sequence[PatternVector]) -> BasisViolation | None:
-    """Check count, length, and pairwise orthogonality.
+    """Check count, length, and pairwise orthogonality; every
+    PatternBasis is checked by it when it is built.
 
     Returns None when the members form a pattern basis, else a report
     for the first offending pair.  Orthogonality requires the XOR of

@@ -7,8 +7,9 @@ recipe, mode, length, seed, quotas, short buckets and runtime next to the
 same rows, each with one more key, ``"nearest": {"k": n, ...}``, the
 function count n of each nearest-set size k at that distance; reading a
 file back checks that every field is there with its JSON type, then its
-mode, its recipe's length, seed and quotas, rebuilds the exact table
-from its rows, and checks that the short buckets are those it gives.
+mode, its recipe's length, seed and quotas (an exhaustive document has
+a null seed and no quotas), rebuilds the exact table from its rows, and
+checks that the short buckets are those it gives.
 The runtime and each row's mean_theta, min_theta and max_theta must be
 numbers of JSON type float, but their values are not read: the reader
 keeps no runtime, and the thetas are recomputed from ``nearest``.
@@ -96,9 +97,10 @@ def _field(obj: dict, key: str, kind: type | None, where: str):
 def profile_from_json(text: str) -> DistanceProfile:
     """The profile a profile_to_json document holds.  A missing field, a
     field of the wrong JSON type, a malformed mode, length, seed, quota
-    or row, or a short_buckets list other than the one the rows and
-    quotas give raises ValueError naming the field, rather than loading
-    a profile that a later merge_profiles or report would trip over."""
+    or row, a seed or quota in an exhaustive document, or a
+    short_buckets list other than the one the rows and quotas give
+    raises ValueError naming the field, rather than loading a profile
+    that a later merge_profiles or report would trip over."""
     doc = json.loads(text)
     if type(doc) is not dict:
         raise ValueError("profile: the document is not a JSON object")
@@ -126,6 +128,10 @@ def profile_from_json(text: str) -> DistanceProfile:
             raise ValueError(f"quotas: distance {d} has quota {quota!r}, "
                              f"not an integer >= 1")
         profile.quotas[d] = quota
+    if mode == "exhaustive" and (seed is not None or profile.quotas):
+        field = "seed" if seed is not None else "quotas"
+        raise ValueError(f"an exhaustive profile has no {field}, "
+                         f"but the document gives {field} {doc[field]!r}")
     short = _field(doc, "short_buckets", list, "profile")
     _field(doc, "runtime_seconds", float, "profile")
     seen = set()

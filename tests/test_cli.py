@@ -122,6 +122,12 @@ class TestEnumerate:
         assert code == 1
         assert "exhaustive cap" in err
 
+    def test_length32_error_names_the_sample_command(self, capsys):
+        # the parent of this check named only the library function
+        code, _, err = run(capsys, "enumerate", "--recipe", "C2,C2,H")
+        assert code == 1
+        assert "`basisket sample`" in err
+
 
 class TestSample:
     def test_quotas_probes_and_regions(self, capsys, tmp_path):

@@ -1,9 +1,13 @@
 import random
+from collections import Counter, defaultdict
+from fractions import Fraction
+from functools import cache
 
 import pytest
 
 from basisket import (
     NearestSet,
+    PatternBasis,
     PatternVector,
     basis_product,
     build_basis_from_recipe,
@@ -255,6 +259,122 @@ class TestBuildBasisFromRecipe:
     def test_rank_cap(self):
         with pytest.raises(ValueError, match="cap"):
             build_basis_from_recipe(["Q2", "Q2", "Q2", "B1"])
+
+
+# each of these was accepted at the parent of this check, or raised
+# KeyError rather than ValueError
+class TestPatternBasisIsCheckedWhenBuilt:
+    def test_non_orthogonal_members_rejected(self):
+        with pytest.raises(ValueError, match="not a pattern basis: members 0 "
+                                             "and 1 are not orthogonal"):
+            PatternBasis((PV("00"), PV("11")), ("B1",))
+
+    def test_unknown_label_rejected(self):
+        with pytest.raises(ValueError, match="unknown recipe factor 'X'"):
+            PatternBasis(builtin_basis("B1").members, ("X",))
+
+    def test_label_of_another_rank_rejected(self):
+        with pytest.raises(ValueError, match="rank 2"):
+            PatternBasis(builtin_basis("Q2").members, ("B1",))
+
+    def test_accepts_exactly_what_validate_basis_accepts(self):
+        rng = random.Random(31)
+        for length in (2, 4, 8):
+            for _ in range(200):
+                members = tuple(random_vector(rng, length)
+                                for _ in range(length))
+                violation = validate_basis(members)
+                if violation is None:
+                    assert PatternBasis(members, ()).members == members
+                else:
+                    with pytest.raises(ValueError,
+                                       match=f"not a pattern basis: {violation}"):
+                        PatternBasis(members, ())
+
+    def test_unlabelled_basis_takes_its_rank_from_its_members(self):
+        basis = PatternBasis(builtin_basis("Q2").members, ())
+        assert (basis.rank, basis.length) == (2, 4)
+        assert str(basis).splitlines()[0] == "<no recipe>"
+
+
+def sign_selection(m: int, s: int) -> tuple[PatternVector, ...]:
+    """The members l_a XOR s(a) of RM(1, m): bit x of member a is
+    (popcount(a & x) + s(a)) mod 2, and s(a) is bit a of the truth
+    table s."""
+    length = 1 << m
+    return tuple(
+        PatternVector(sum((((a & x).bit_count() + (s >> a)) & 1) << x
+                          for x in range(length)), length)
+        for a in range(length))
+
+
+def exhaustive_table(basis: PatternBasis) -> frozenset:
+    """The (d, |N|) -> function count table over every function."""
+    table = Counter()
+    for value in range(1 << basis.length):
+        nearest = distance_from_class(basis, PatternVector(value, basis.length))
+        table[nearest.distance, len(nearest.indices)] += 1
+    return frozenset(table.items())
+
+
+@cache
+def sign_classes(m: int) -> dict[frozenset, list[int]]:
+    """Every sign selection s at m, grouped by its exhaustive table."""
+    classes = defaultdict(list)
+    for s in range(1 << (1 << m)):
+        basis = PatternBasis(sign_selection(m, s), ())
+        assert validate_basis(basis.members) is None
+        classes[exhaustive_table(basis)].append(s)
+    return dict(classes)
+
+
+def recipe_table(*recipe: str) -> frozenset:
+    return exhaustive_table(
+        build_basis_from_recipe([FACTOR_TO_BASIS[f] for f in recipe]))
+
+
+def mean_thetas(table: frozenset, length: int) -> dict[int, Fraction]:
+    """Exact E[theta | d]: sum(k n_k) (L - 2d)**2 / (count L**2)."""
+    weighted, counts = Counter(), Counter()
+    for (d, k), n in table:
+        weighted[d] += k * n
+        counts[d] += n
+    return {d: Fraction(weighted[d] * (length - 2 * d) ** 2,
+                        counts[d] * length ** 2) for d in counts}
+
+
+class TestSignSelections:
+    """Every sign selection {l_a XOR s(a)} is a pattern basis (sign_classes
+    builds and validates all of them); at m <= 3 the exhaustive (d, |N|)
+    tables split them into the classes below."""
+
+    def test_m2_two_classes_of_eight(self):
+        classes = sign_classes(2)
+        assert sorted(map(len, classes.values())) == [8, 8]
+        assert 0 in classes[recipe_table("H", "H")]
+        assert 0 not in classes[recipe_table("C2")]
+
+    def test_m3_three_classes(self):
+        classes = sign_classes(3)
+        assert sorted(map(len, classes.values())) == [16, 112, 128]
+        assert 0 in classes[recipe_table("H", "H", "H")]
+        assert len(classes[recipe_table("H", "H", "H")]) == 16
+        assert recipe_table("H", "C2") == recipe_table("C2", "H")
+        assert 0x3 in classes[recipe_table("H", "C2")]
+        assert len(classes[recipe_table("H", "C2")]) == 112
+
+    def test_m3_cubic_class_has_no_recipe(self):
+        cubic, = (t for t, members in sign_classes(3).items() if 0x1 in members)
+        assert len(sign_classes(3)[cubic]) == 128
+        assert cubic not in {recipe_table("H", "H", "H"), recipe_table("H", "C2")}
+        assert {k: n for (d, k), n in cubic if d == 2} == {
+            1: 28, 2: 42, 3: 28, 4: 7}
+        means = mean_thetas(cubic, 8)
+        assert [means[d] for d in range(1, 6)] == [
+            Fraction(9, 16), Fraction(8, 15), Fraction(2, 9), 0,
+            Fraction(7, 16)]
+        assert mean_thetas(recipe_table("H", "H", "H"), 8)[2] == Fraction(1, 2)
+        assert mean_thetas(recipe_table("H", "C2"), 8)[2] == Fraction(7, 13)
 
 
 class TestDistanceFromClass:

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from basisket import exhaustive_profile, stratified_sample_profile
+from basisket import (exhaustive_profile, merge_profiles,
+                      stratified_sample_profile)
 from basisket.report import (
     PROFILE_CSV_HEADER,
     ascii_histogram,
@@ -173,6 +174,28 @@ class TestJson:
         doc[field] = value
         with pytest.raises(ValueError, match=match):
             profile_from_json(json.dumps(doc))
+
+    # each loaded at the parent of this check, and merge_profiles(p, p)
+    # then accepted it: its same-seed refusal covers sampled profiles only
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 5), ("quotas", {"1": 3})], ids=["seed", "quotas"])
+    def test_exhaustive_document_carries_no_seed_or_quotas(self, profile,
+                                                           field, value):
+        doc = json.loads(profile_to_json(profile))
+        doc[field] = value
+        with pytest.raises(ValueError, match=f"an exhaustive profile has "
+                                             f"no {field}, but the document"):
+            profile_from_json(json.dumps(doc))
+
+    def test_exhaustive_and_merged_documents_load(self, profile, sampled):
+        other = stratified_sample_profile(("C2", "C2", "H"), {1: 10, 2: 10},
+                                          seed=6)
+        for p in (profile, merge_profiles(profile, profile),
+                  merge_profiles(sampled, other)):
+            back = profile_from_json(profile_to_json(p))
+            assert (back.mode, back.seed, back.quotas) == (
+                p.mode, p.seed, p.quotas)
+            assert np.array_equal(back.nearest, p.nearest)
 
     # each loaded before the reader checked these fields
     @pytest.mark.parametrize("key", ["mean_theta", "min_theta", "max_theta"])
